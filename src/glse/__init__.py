@@ -1,14 +1,14 @@
 """Regularized precoding toolkit: asymptotics, finite-N solvers, sweeps."""
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .finite import (PrecodeOutput, block_stack, glse_convex,
-                     glse_exhaustive_discrete, glse_exhaustive_l0,
-                     glse_stationary, rzf, tas_random, tas_strongest)
+from .finite import (PrecodeOutput, glse_convex, glse_exhaustive_discrete,
+                     glse_exhaustive_l0, glse_stationary, rzf, tas_random,
+                     tas_strongest)
 from .harness import (ExperimentRecord, GridPoint, SweepConfig, emit_csv,
                       fit_equivalent_eta, load_sweep_config, run_sweep,
                       run_trial)
-from .penalties import (DecoupledInput, PenaltySpec, SupportSpec, decouple,
-                        decouple_ce, decouple_grid, prox, scalar_objective)
+from .penalties import (PenaltySpec, SupportSpec, decouple, decouple_grid,
+                        prox, scalar_objective)
 from .replica import (RsSolution, ScenarioSpec, lemma2_bound,
                       random_tas_asymptote, rate_lower_bound,
                       solve_rs_generic, solve_rs_scenario, tune)

@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .harness import (emit_csv, fit_equivalent_eta, load_sweep_config,
-                      run_sweep, run_trial)
+from .harness import emit_csv, load_sweep_config, run_sweep, run_trial
 from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec
 from .replica import (ScenarioSpec, lemma2_bound, rate_lower_bound,
                       solve_rs_scenario, tune)
@@ -102,8 +101,8 @@ def _cmd_bound(args):
     out = {"lemma2": lemma2_bound(1.0 / args.alpha_inv, args.rho, args.eta,
                                   args.peak_power, args.order)}
     if args.sigma2 is not None and args.distortion is not None:
-        out["rate_lb"] = float(np.log(args.rho /
-                                      (args.sigma2 + args.distortion)))
+        out["rate_lb"] = rate_lower_bound(args.rho, args.distortion,
+                                          args.sigma2)
     _emit(out)
     return 0
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ConfigurationError, DomainError
 from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec, prox
@@ -117,20 +116,19 @@ def glse_convex(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
         h: K x N channel matrix.
         s: length-K data vector.
         rho: power control factor (nonnegative).
-        penalty: weights with lambda0 = 0; lambda2 may be negative as long
-            as the proximal subproblem stays convex.
+        penalty: weights with lambda0 = 0 and lambda1 >= 0 (a negative l1
+            weight has no minimiser; glse_stationary covers it). lambda2
+            may be negative as long as the proximal subproblem stays
+            convex.
         support: full plane or disk.
         max_iter: iteration cap; hitting it returns converged=False.
         tol: relative objective-decrease stopping threshold.
         power_cap: optional average-power budget per antenna. Iterates are
             kept inside ||x||^2 <= N * power_cap. Required on the full
-            plane when a weight is negative, where the unconstrained
-            objective is unbounded along the channel null space. The
-            capped minimiser is the finite program of the tuning branch
-            with lambda2 < 0 and lambda1 >= 0 (chi > 0, power target above
-            the unconstrained optimum). With lambda1 < 0 (the continued
-            branch, xi < 0) the replica state describes the stationary
-            point that glse_stationary computes, not a capped minimiser.
+            plane when lambda2 < 0, where the unconstrained objective is
+            unbounded along the channel null space. The capped minimiser
+            is the finite program of the tuning branch with lambda2 < 0
+            (chi > 0, power target above the unconstrained optimum).
 
     Returns:
         PrecodeOutput; x is the best (lowest-objective) iterate seen.
@@ -143,12 +141,16 @@ def glse_convex(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
             "glse_convex covers the full-plane and disk supports")
     if rho < 0:
         raise ConfigurationError("rho must be nonnegative")
+    if penalty.lambda1 < 0:
+        raise ConfigurationError(
+            "glse_convex requires lambda1 >= 0: with a negative l1 weight "
+            "the objective is nonconvex; use glse_stationary for its "
+            "stationary point")
     if power_cap is not None and not power_cap > 0:
         raise ConfigurationError("power_cap must be positive")
-    if (power_cap is None and support.kind == FULL
-            and (penalty.lambda2 < 0 or penalty.lambda1 < 0)):
+    if power_cap is None and support.kind == FULL and penalty.lambda2 < 0:
         raise ConfigurationError(
-            "negative weights on the full plane need a power_cap: the "
+            "a negative lambda2 on the full plane needs a power_cap: the "
             "unconstrained objective is unbounded below")
     n = h.shape[1]
     lip = 2.0 * np.linalg.norm(h, 2) ** 2
@@ -373,7 +375,11 @@ def glse_exhaustive_l0(h, s, rho, penalty: PenaltySpec,
         h: K x N channel matrix with N <= 16.
         s: length-K data vector.
         rho: power control factor.
-        penalty: weights with lambda1 = 0.
+        penalty: weights with lambda1 = 0 and lambda0, lambda2 >= 0. With
+            lambda2 < 0 the ridge problem on a support wider than K has no
+            minimiser (the least-squares fallback is not one), and a
+            negative lambda0 comes from the continued tuning branch
+            (xi < 0), whose replica state is not this minimiser.
 
     Returns:
         PrecodeOutput at the global optimum.
@@ -381,6 +387,9 @@ def glse_exhaustive_l0(h, s, rho, penalty: PenaltySpec,
     h, s = _check_instance(h, s)
     if penalty.lambda1 != 0:
         raise ConfigurationError("glse_exhaustive_l0 requires lambda1 = 0")
+    if penalty.lambda0 < 0 or penalty.lambda2 < 0:
+        raise ConfigurationError(
+            "glse_exhaustive_l0 requires lambda0 >= 0 and lambda2 >= 0")
     n = h.shape[1]
     if n > max_n:
         raise ConfigurationError(
@@ -466,26 +475,3 @@ def tas_random(n, n_active, seed):
         raise ConfigurationError(f"n_active must lie in [1, {n}]")
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n, size=n_active, replace=False))
-
-
-def block_stack(channels, data):
-    """Stack per-block instances into one block-diagonal GLSE instance.
-
-    Args:
-        channels: list of K x N channel matrices, all the same shape.
-        data: list of length-K data vectors, one per channel.
-
-    Returns:
-        (H_t, s_t): block-diagonal (KB x NB) matrix and concatenated vector.
-    """
-    if len(channels) == 0 or len(channels) != len(data):
-        raise ConfigurationError("channels and data must be equal-length, "
-                                 "nonempty lists")
-    shape = np.asarray(channels[0]).shape
-    pairs = [_check_instance(hb, sb) for hb, sb in zip(channels, data)]
-    for hb, _ in pairs:
-        if hb.shape != shape:
-            raise ConfigurationError("all blocks must share the same shape")
-    h_t = block_diag(*[hb for hb, _ in pairs])
-    s_t = np.concatenate([sb for _, sb in pairs])
-    return h_t, s_t

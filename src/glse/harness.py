@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -286,7 +286,8 @@ def run_sweep(config: SweepConfig, n_workers=1):
             rec.eta_replica = sol.eta
             rec.replica_residual = max(sol.residuals.values())
             if point.sigma2 is not None:
-                rec.rate_lb = rate_lower_bound(sol, point.sigma2)
+                rec.rate_lb = rate_lower_bound(sol.rho, sol.distortion,
+                                               point.sigma2)
             if support.kind == MPSK_ZERO:
                 rec.d_lemma2 = lemma2_bound(base.load, point.rho, point.eta,
                                             support.peak_power, support.order)

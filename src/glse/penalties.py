@@ -1,9 +1,11 @@
-"""Penalty model and scalar decoupled precoders.
+"""Penalty model and the scalar decoupled precoder.
 
 The penalty is u(v) = lambda2*|v|^2 + lambda0*1{v != 0} + lambda1*|v| over a
-support that is the full complex plane, a disk of peak power P, or an M-PSK
-constellation extended with zero. `decouple` evaluates the closed-form
-minimizer of |v - s|^2 + xi*u(v); `decouple_grid` is the brute-force oracle.
+support that is the full complex plane, a disk of peak power P, an M-PSK
+constellation extended with zero, or its constant-envelope limit.
+`decouple` evaluates the closed-form minimizer of |v - s|^2 + xi*u(v) in
+the six covered scenarios, elementwise on scalars or arrays; `prox` is the
+same map at xi = 2*step and `decouple_grid` is the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -103,30 +105,12 @@ class SupportSpec:
         return bool(np.min(np.abs(self.constellation() - v)) <= tol)
 
 
-@dataclass(frozen=True)
-class DecoupledInput:
-    """Realization of the scalar decoupled input and its penalty factor."""
-
-    value: complex
-    xi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.xi) and self.xi > 0):
-            raise ConfigurationError("xi must be finite and positive")
-
-
 def scalar_objective(v, s, xi, penalty: PenaltySpec,
                      support: SupportSpec | None = None):
     """|v - s|^2 + xi*u(v); the quantity minimized by the decoupled precoder."""
     if support is not None and not support.contains(v):
         raise DomainError(f"v = {v} outside support {support.kind}")
     return float(abs(v - s) ** 2 + xi * penalty.value(v))
-
-
-def _phase(s):
-    if s == 0:
-        return 1.0 + 0.0j
-    return s / abs(s)
 
 
 def _effective_threshold(value):
@@ -146,97 +130,77 @@ def _shrink_factor(xi, lambda2):
     return shrink
 
 
-def _decouple_full(s, xi, penalty):
+def _unit(s, mag):
+    """s/|s| elementwise, 0 where s = 0."""
+    num, den = s, mag
+    if np.count_nonzero(mag < _TINY):
+        # s / |s| overflows in the complex division for subnormal |s|;
+        # scaling by a power of two is exact and keeps the phase
+        sub = (mag > 0) & (mag < _TINY)
+        if sub.any():
+            num = s.copy()
+            num[sub] *= _SUBNORMAL_SCALE
+            den = np.abs(num)
+    return num / (den + (den == 0))
+
+
+def _decouple(s, xi, penalty, support):
+    """The scalar precoder on a complex array s (see decouple)."""
+    if xi == 0:
+        raise ConfigurationError("xi must be nonzero")
     lam, lam0, lam1 = penalty.lambda2, penalty.lambda0, penalty.lambda1
-    if lam0 != 0 and lam1 != 0:
+    if support.kind in (FULL, DISK):
+        if lam0 != 0 and lam1 != 0:
+            raise ConfigurationError(
+                f"combined l0+l1 penalty on the {support.kind} support is "
+                "not a covered scenario; use decouple_grid")
+    elif lam0 != 0 or lam1 != 0:
         raise ConfigurationError(
-            "combined l0+l1 penalty on the full plane is not a covered "
-            "scenario; use decouple_grid")
+            f"{support.kind} scenario covers the quadratic penalty only")
     shrink = _shrink_factor(xi, lam)
-    mag = abs(s)
-    if lam1 != 0:
+    root_p = np.inf if support.kind == FULL else np.sqrt(support.peak_power)
+    mag = np.abs(s)
+    if support.kind == MPSK_ZERO:
+        # nearest phase e^{j 2k pi/M} (first max: ties toward smaller k),
+        # taken when |s| cos(phase gap) exceeds sqrt(P)(1 + xi*lambda2)/2
+        k = np.arange(1, support.order + 1)
+        scores = np.cos(2 * np.pi * k / support.order
+                        - np.angle(s)[..., None])
+        best = np.argmax(scores, axis=-1)
+        score = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
+        with np.errstate(divide="ignore"):
+            on = (score > 0) & (mag > root_p * shrink / (2.0 * score))
+        return np.where(on, support.constellation()[best + 1], 0.0)
+    if support.kind == CONST_ENVELOPE:
+        r = np.where(mag > root_p * shrink / 2.0, root_p, 0.0)
+    elif lam0 == 0:
+        # soft threshold (the ridge when lambda1 = 0), clipped to the disk
         tau1 = _effective_threshold(xi * lam1 / 2.0)
-        if mag > tau1:
-            return _phase(s) * (mag - tau1) / shrink
-        return 0.0 + 0.0j
-    tau0 = np.sqrt(_effective_threshold(xi * lam0 * shrink))
-    if mag > tau0:
-        return s / shrink
-    return 0.0 + 0.0j
-
-
-def _decouple_disk(s, xi, penalty, peak_power):
-    lam, lam0, lam1 = penalty.lambda2, penalty.lambda0, penalty.lambda1
-    if lam0 != 0 and lam1 != 0:
-        raise ConfigurationError(
-            "combined l0+l1 penalty on the disk is not a covered scenario; "
-            "use decouple_grid")
-    shrink = _shrink_factor(xi, lam)
-    root_p = np.sqrt(peak_power)
-    mag = abs(s)
-    if lam1 != 0:
-        tau1 = _effective_threshold(xi * lam1 / 2.0)
-        tau1_clip = root_p * shrink + tau1
-        if mag > tau1_clip:
-            return root_p * _phase(s)
-        if mag > tau1:
-            return _phase(s) * (mag - tau1) / shrink
-        return 0.0 + 0.0j
-    tau0 = np.sqrt(_effective_threshold(xi * lam0 * shrink))
-    tau0_clip = shrink * root_p
-    tau0_hat = max(tau0_clip, shrink * root_p / 2.0 + xi * lam0 / (2.0 * root_p))
-    if mag > tau0_hat:
-        return root_p * _phase(s)
-    if tau0 < mag <= tau0_clip:
-        return s / shrink
-    return 0.0 + 0.0j
-
-
-def _mpsk_best_phase(theta, order):
-    """Index k in [1:M] maximizing cos(2k pi/M - theta); ties toward smaller k."""
-    k = np.arange(1, order + 1)
-    scores = np.cos(2 * np.pi * k / order - theta)
-    return int(k[np.argmax(scores)])  # argmax returns first max: smaller k
-
-
-def _decouple_mpsk(s, xi, penalty, peak_power, order):
-    if penalty.lambda0 != 0 or penalty.lambda1 != 0:
-        raise ConfigurationError(
-            "constellation scenario covers the quadratic penalty only")
-    shrink = _shrink_factor(xi, penalty.lambda2)
-    root_p = np.sqrt(peak_power)
-    theta = np.angle(s) if s != 0 else 0.0
-    k_star = _mpsk_best_phase(theta, order)
-    score = np.cos(2 * np.pi * k_star / order - theta)
-    if score <= 0:
-        return 0.0 + 0.0j
-    tau = root_p * shrink / (2.0 * score)
-    if abs(s) > tau:
-        return root_p * np.exp(2j * np.pi * k_star / order)
-    return 0.0 + 0.0j
+        r = np.maximum(mag - tau1, 0.0) / shrink
+        if support.kind == DISK:
+            r = np.minimum(r, root_p)
+    else:
+        # hard threshold: linear band (tau0, tau_clip], rim above tau_hat
+        # (both infinite on the full plane)
+        tau0 = np.sqrt(_effective_threshold(xi * lam0 * shrink))
+        tau_clip = shrink * root_p
+        tau_hat = max(tau_clip, tau_clip / 2.0 + xi * lam0 / (2.0 * root_p))
+        band = (mag > tau0) & (mag <= tau_clip)
+        r = np.where(mag > tau_hat, root_p, np.where(band, mag / shrink, 0.0))
+    return r * _unit(s, mag)
 
 
 def decouple(s, xi, penalty: PenaltySpec, support: SupportSpec):
-    """Closed-form minimizer of |v - s|^2 + xi*u(v) over the support.
+    """Minimizer of |v - s|^2 + xi*u(v) over the support, elementwise in s.
 
-    Covers the five scenarios: l0 or l1 penalty on the full plane, l0 or l1
-    penalty on the disk, and the quadratic penalty on the zero-extended
-    constellation. Exact threshold ties resolve to 0.
+    Covers the six scenarios: l0 or l1 penalty on the full plane or on the
+    disk, and the quadratic penalty on the zero-extended constellation or
+    its constant-envelope limit. Exact threshold ties resolve to 0, ties
+    between constellation points to the smaller index k. Returns a complex
+    number for scalar s and a complex array of the shape of s otherwise.
     """
-    if xi == 0:
-        raise ConfigurationError("xi must be nonzero")
-    s = complex(s)
-    if support.kind == FULL:
-        return complex(_decouple_full(s, xi, penalty))
-    if support.kind == DISK:
-        return complex(_decouple_disk(s, xi, penalty, support.peak_power))
-    if support.kind == CONST_ENVELOPE:
-        if penalty.lambda0 != 0 or penalty.lambda1 != 0:
-            raise ConfigurationError(
-                "constant-envelope scenario covers the quadratic penalty only")
-        return complex(decouple_ce(s, xi, penalty.lambda2, support.peak_power))
-    return complex(_decouple_mpsk(s, xi, penalty, support.peak_power,
-                                  support.order))
+    out = _decouple(np.asarray(s, dtype=complex), xi, penalty, support)
+    return complex(out) if out.ndim == 0 else out
 
 
 def decouple_grid(s, xi, penalty: PenaltySpec, support: SupportSpec,
@@ -281,47 +245,17 @@ def decouple_grid(s, xi, penalty: PenaltySpec, support: SupportSpec,
 def prox(penalty: PenaltySpec, support: SupportSpec, w, step):
     """Proximal map argmin_v 0.5|v - w|^2 + step*(lambda2|v|^2 + lambda1|v|).
 
-    Convex penalties only (lambda0 = 0) on the full plane or the disk.
-    Accepts scalars or arrays; phase of w is preserved.
+    The scalar precoder at xi = 2*step, for the convex penalties
+    (lambda0 = 0) on the full plane or the disk. Weights that make the
+    subproblem nonconvex (1 + 2*step*lambda2 <= 0 or lambda1 < 0) raise
+    DomainError. Accepts scalars or arrays; phase of w is preserved.
     """
     if penalty.lambda0 != 0:
         raise ConfigurationError("prox requires lambda0 = 0 (convex penalty)")
-    if support.kind == MPSK_ZERO:
+    if support.kind not in (FULL, DISK):
         raise ConfigurationError("prox covers full-plane and disk supports")
     if not step > 0:
         raise ConfigurationError("step must be positive")
-    w = np.asarray(w, dtype=complex)
-    scale = 1.0 + 2.0 * step * penalty.lambda2
-    if scale <= 0:
-        raise DomainError(
-            f"1 + 2*step*lambda2 = {scale} <= 0: prox subproblem not convex")
-    mag = np.abs(w)
-    shrunk = np.maximum(mag - step * penalty.lambda1, 0.0) / scale
-    if support.kind == DISK:
-        shrunk = np.minimum(shrunk, np.sqrt(support.peak_power))
-    num, den = w, mag
-    if mag.min(initial=np.inf) < _TINY:
-        # w / |w| overflows in the complex division for subnormal |w|;
-        # scaling by a power of two is exact and keeps the phase
-        sub = (mag > 0) & (mag < _TINY)
-        if sub.any():
-            num = w.copy()
-            num[sub] *= _SUBNORMAL_SCALE
-            den = np.abs(num)
-    unit = np.divide(num, den, out=np.zeros_like(w), where=mag > 0)
-    out = shrunk * unit
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def decouple_ce(s, xi, lambda2, peak_power):
-    """Constant-envelope limit of the constellation rule (order -> infinity)."""
-    if not peak_power > 0:
-        raise ConfigurationError("peak_power must be positive")
-    s = complex(s)
-    root_p = np.sqrt(peak_power)
-    tau = root_p * _shrink_factor(xi, lambda2) / 2.0
-    if abs(s) > tau:
-        return root_p * _phase(s)
-    return 0.0 + 0.0j
+    out = _decouple(np.asarray(w, dtype=complex), 2.0 * step, penalty,
+                    support)
+    return complex(out) if out.ndim == 0 else out

@@ -13,7 +13,7 @@ driven by the scalar minimizer itself (solve_rs_generic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -234,44 +234,29 @@ def _active_segments(profile, rho_rs, u_cap=80.0, scan=4001):
     """Activity segments of r -> profile(r) over the Rayleigh radius.
 
     Returns a list of (u_lo, u_hi) intervals, u = r^2/rho_rs, on which the
-    scalar precoder output is nonzero. Boundaries are refined by bisection.
+    scalar precoder output is nonzero. profile takes an array of radii.
+    The scan points are evaluated in one call, and every boundary between
+    an inactive and an active scan point is refined by bisection, all
+    boundaries at once.
     """
     us = np.linspace(0.0, u_cap, scan)
-    flags = np.array([profile(np.sqrt(rho_rs * u)) != 0 for u in us])
-    segments = []
-    i = 0
-    while i < len(us):
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(us) and flags[j + 1]:
-            j += 1
-        lo = us[i]
-        if i > 0:
-            a, b = us[i - 1], us[i]
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                if profile(np.sqrt(rho_rs * mid)) != 0:
-                    b = mid
-                else:
-                    a = mid
-            lo = b
-        hi = us[j]
-        if j + 1 < len(us):
-            a, b = us[j], us[j + 1]
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                if profile(np.sqrt(rho_rs * mid)) != 0:
-                    a = mid
-                else:
-                    b = mid
-            hi = a
-        else:
-            hi = np.inf
-        segments.append((lo, hi))
-        i = j + 1
-    return segments
+    flags = profile(np.sqrt(rho_rs * us)) != 0
+    edges = np.flatnonzero(flags[1:] != flags[:-1])
+    a, b = us[edges], us[edges + 1]
+    left_on = flags[edges]
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        # mid replaces the end of the bracket that shares its activity
+        move_a = (profile(np.sqrt(rho_rs * mid)) != 0) == left_on
+        a = np.where(move_a, mid, a)
+        b = np.where(move_a, b, mid)
+    los = list(b[~left_on])
+    his = list(a[left_on])
+    if flags[0]:
+        los.insert(0, us[0])
+    if flags[-1]:
+        his.append(np.inf)
+    return list(zip(los, his))
 
 
 def _radial_moments(profile, rho_rs):
@@ -552,11 +537,6 @@ def _tune_constellation(spec, p_t, eta_t):
     return PenaltySpec(lambda2=lam), float(np.exp(sol.x[1]))
 
 
-def spec_without_support(spec, penalty):
-    """Same load/rho with the full-plane support (tuning warm start)."""
-    return replace(spec, penalty=penalty, support=SupportSpec.full_complex())
-
-
 def solution_at(spec: ScenarioSpec, chi, p,
                 moments_fn=scenario_moments) -> RsSolution:
     """Evaluate the fixed-point state at (chi, p) and report its residuals.
@@ -625,11 +605,14 @@ def tune(spec: ScenarioSpec, target_power, target_eta, sparsity=None):
 # bounds and baselines
 # ---------------------------------------------------------------------------
 
-def rate_lower_bound(sol, noise_power):
+def rate_lower_bound(rho, distortion, noise_power):
     """Ergodic-rate lower bound log(rho/(sigma^2 + D)), natural log."""
     if not noise_power > 0:
         raise ConfigurationError("noise_power must be positive")
-    return float(np.log(sol.rho / (noise_power + sol.distortion)))
+    if not (rho > 0 and distortion >= 0):
+        raise ConfigurationError(
+            "rho must be positive and distortion nonnegative")
+    return float(np.log(rho / (noise_power + distortion)))
 
 
 def heuristic_rate(rho, interference, distortion):

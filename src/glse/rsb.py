@@ -33,7 +33,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import log_ndtr, logsumexp, ndtr
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .penalties import CONST_ENVELOPE, MPSK_ZERO
+from .penalties import CONST_ENVELOPE, MPSK_ZERO, decouple
 from .replica import (ScenarioSpec, _w, _w_prime, rs_distortion,
                       scenario_moments, solve_rs_scenario)
 from .rmt import _validate_atoms
@@ -191,36 +191,6 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu, s1_sign):
 # tensor-grid moments for larger constellations
 # ---------------------------------------------------------------------------
 
-def _vector_min(s_hat, xi, penalty, support):
-    """Vectorized argmin over the support of |v - s|^2 + xi*u(v).
-
-    Returns (x, delta) with delta = min objective minus |s|^2, which is the
-    quantity entering the tilt exponent (bounded for bounded supports).
-    The zero candidate gives delta 0, so exact ties resolve to 0, matching
-    decouple.
-    """
-    lam = penalty.lambda2
-    if support.kind == CONST_ENVELOPE:
-        root_p = np.sqrt(support.peak_power)
-        mag = np.abs(s_hat)
-        delta_on = support.peak_power * (1.0 + xi * lam) - 2.0 * root_p * mag
-        on = delta_on < 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            phase = np.where(mag > 0, s_hat / np.where(mag > 0, mag, 1.0), 1.0)
-        x = np.where(on, root_p * phase, 0.0 + 0.0j)
-        delta = np.where(on, delta_on, 0.0)
-        return x, delta
-    points = support.constellation()
-    # delta_k = |v_k|^2 (1 + xi*lam) - 2 Re{conj(v_k) s}; zero point gives 0
-    deltas = np.stack([
-        (abs(v) ** 2) * (1.0 + xi * lam) - 2.0 * np.real(np.conj(v) * s_hat)
-        for v in points])
-    k = np.argmin(deltas, axis=0)
-    x = points[k]
-    delta = np.take_along_axis(deltas, k[None], axis=0)[0]
-    return x, delta
-
-
 class _QuadGrid:
     """Tensor Gauss-Hermite grid over (s_rs, s1), four real axes."""
 
@@ -240,7 +210,10 @@ def _grid_moments(grid, penalty, support, xi, rho_rs, rho1, mu, s1_sign):
     s_rs = np.sqrt(rho_rs) * grid.s0
     s1 = np.sqrt(max(rho1, 0.0)) * grid.s1
     s_hat = s_rs + s1_sign * s1
-    x, delta = _vector_min(s_hat, xi, penalty, support)
+    x = decouple(s_hat, xi, penalty, support)
+    # min objective minus |s_hat|^2 (0 for x = 0): the tilt exponent
+    delta = (np.abs(x) ** 2 * (1.0 + xi * penalty.lambda2)
+             - 2.0 * np.real(np.conj(x) * s_hat))
     log_lam = -(mu / xi) * delta
     if rho1 > 0:
         shift = np.max(log_lam, axis=(2, 3), keepdims=True)

@@ -297,7 +297,7 @@ def test_qualitative_rate_ordering(capsys):
             spec = ScenarioSpec(PenaltySpec(), FULL, 0.5, rho)
             pen, sol = tune(spec, 0.5, eta,
                             sparsity=sparsity if eta < 1 else None)
-            rates.append(rate_lower_bound(sol, sigma2))
+            rates.append(rate_lower_bound(sol.rho, sol.distortion, sigma2))
         return max(rates)
 
     r = {"rzf": best_rate(None, 1.0),
@@ -321,7 +321,7 @@ def test_qualitative_heuristic_vs_bound_convergence(capsys):
             spec = ScenarioSpec(PenaltySpec(), sup, 1.0 / ai, 1.0)
             pen, sol = tune(spec, 1.0, eta)
             gap = (heuristic_rate(1.0, 0.1, sol.distortion)
-                   - rate_lower_bound(sol, 0.1))
+                   - rate_lower_bound(sol.rho, sol.distortion, 0.1))
             gaps.append(gap)
         ok = ok and all(g > 0 for g in gaps)
         ok = ok and all(a > b for a, b in zip(gaps, gaps[1:]))

@@ -41,6 +41,18 @@ def test_bound_command(capsys):
     assert "rate_lb" in payload
 
 
+@pytest.mark.parametrize("sigma2,distortion", [("-0.5", "0.05"),
+                                                ("0.1", "-0.2")])
+def test_bound_command_rejects_invalid_rate_inputs(capsys, sigma2,
+                                                   distortion):
+    # log(rho/(sigma2 + D)) would be NaN here
+    rc = main(["bound", "--alpha-inv", "2", "--eta", "0.4",
+               "--peak-power", "2.5", "--sigma2", sigma2,
+               "--distortion", distortion])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = tmp_path / "sweep.yaml"
     cfg.write_text(

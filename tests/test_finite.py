@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from glse.errors import ConfigurationError
 from glse import finite
-from glse.finite import (DEFAULT_TOL, block_stack, glse_convex,
-                         glse_exhaustive_discrete, glse_exhaustive_l0,
-                         glse_stationary, objective_value,
+from glse.finite import (DEFAULT_TOL, glse_convex, glse_exhaustive_discrete,
+                         glse_exhaustive_l0, glse_stationary, objective_value,
                          optimality_residual, rzf, tas_random, tas_strongest)
 from glse.penalties import PenaltySpec, SupportSpec
 from glse.replica import ScenarioSpec, tune
@@ -73,11 +72,17 @@ def test_convex_rejects_l0_weight_and_bad_shapes():
 
 def test_negative_weights_need_power_cap():
     h, s = _instance(8, 4, 19)
+    full = SupportSpec.full_complex()
+    # a negative l1 weight has no minimiser, with or without a cap
     pen = PenaltySpec(lambda2=-0.01, lambda1=-0.05)
+    for cap in (None, 0.5):
+        with pytest.raises(ConfigurationError, match="glse_stationary"):
+            glse_convex(h, s, 1.0, pen, full, power_cap=cap)
+    # a negative quadratic weight has one under the power budget
+    pen = PenaltySpec(lambda2=-0.01, lambda1=0.05)
     with pytest.raises(ConfigurationError):
-        glse_convex(h, s, 1.0, pen, SupportSpec.full_complex())
-    out = glse_convex(h, s, 1.0, pen, SupportSpec.full_complex(),
-                      power_cap=0.5)
+        glse_convex(h, s, 1.0, pen, full)
+    out = glse_convex(h, s, 1.0, pen, full, power_cap=0.5)
     assert out.power <= 0.5 + 1e-12
 
 
@@ -192,6 +197,17 @@ def test_exhaustive_l0_rejects_l1_weight():
         glse_exhaustive_l0(h, s, 1.0, PenaltySpec(lambda1=0.2))
 
 
+def test_exhaustive_l0_rejects_negative_weights():
+    # the first pair is what tune gives for full/l0 at alpha_inv 4, p 0.5,
+    # eta 0.7 (the continued branch, xi < 0)
+    h, s = _instance(6, 3, 29)
+    for pen in (PenaltySpec(lambda2=-0.0744, lambda0=-0.0199),
+                PenaltySpec(lambda2=0.1, lambda0=-0.02),
+                PenaltySpec(lambda2=-0.05, lambda0=0.02)):
+        with pytest.raises(ConfigurationError):
+            glse_exhaustive_l0(h, s, 1.0, pen)
+
+
 def test_exhaustive_discrete_is_global_minimum():
     h, s = _instance(6, 3, 31)
     sup = SupportSpec.mpsk_zero(4, 1.5)
@@ -230,17 +246,6 @@ def test_tas_random_deterministic_and_valid():
     np.testing.assert_array_equal(a, b)
     assert len(set(a.tolist())) == 4
     assert all(0 <= i < 10 for i in a)
-
-
-def test_block_stack_structure():
-    h1, s1 = _instance(3, 2, 41)
-    h2, s2 = _instance(3, 2, 42)
-    h_t, s_t = block_stack([h1, h2], [s1, s2])
-    assert h_t.shape == (4, 6) and s_t.shape == (4,)
-    np.testing.assert_array_equal(h_t[:2, :3], h1)
-    np.testing.assert_array_equal(h_t[2:, 3:], h2)
-    assert np.all(h_t[:2, 3:] == 0) and np.all(h_t[2:, :3] == 0)
-    np.testing.assert_array_equal(s_t, np.concatenate([s1, s2]))
 
 
 def test_output_diagnostics_consistent():

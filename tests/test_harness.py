@@ -161,6 +161,19 @@ def test_run_sweep_survives_per_point_failure():
     assert records[0].d_rs is None
 
 
+def test_run_sweep_records_negative_l0_weights():
+    # full/l0 at alpha_inv 4, eta 0.7 tunes to the continued branch with
+    # lambda0 < 0 and lambda2 < 0; its trials must fail in the row's error
+    # field instead of averaging exhaustive solves of another program
+    grid = (GridPoint(alpha_inv=4.0, eta=0.7, power=0.5),)
+    cfg = SweepConfig(scenario={"kind": "full", "sparsity": "l0"},
+                      grid=grid, mc={"n": 16, "n_channels": 2, "seed": 0})
+    (rec,) = run_sweep(cfg)
+    assert rec.lambda0 < 0 and rec.lambda2 < 0
+    assert rec.error.startswith("ConfigurationError")
+    assert rec.mc_d_mean is None
+
+
 def test_emit_csv_header_and_missing_fields(tmp_path):
     rec = ExperimentRecord(alpha_inv=2.0, eta_target=0.5, power_target=0.5,
                            rho=1.0, scenario="full_l1")

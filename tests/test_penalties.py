@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glse.errors import ConfigurationError, DomainError
-from glse.penalties import (PenaltySpec, SupportSpec, decouple, decouple_ce,
-                            decouple_grid, prox, scalar_objective)
+from glse.penalties import (PenaltySpec, SupportSpec, decouple, decouple_grid,
+                            prox, scalar_objective)
 
 FULL = SupportSpec.full_complex()
 
@@ -226,10 +226,12 @@ def test_decouple_ce_examples():
     p = 2.0
     xi, lam = 1.0, 0.5
     s = np.sqrt(p) * (1 + xi * lam) * np.exp(0.4j)
-    out = decouple_ce(s, xi, lam, p)
+    ce = SupportSpec.constant_envelope(p)
+    pen = PenaltySpec(lambda2=lam)
+    out = decouple(s, xi, pen, ce)
     assert out == pytest.approx(np.sqrt(p) * np.exp(0.4j))
-    assert decouple_ce(1e-12, xi, lam, p) == 0
-    assert decouple_ce(0.0, xi, lam, p) == 0
+    assert decouple(1e-12, xi, pen, ce) == 0
+    assert decouple(0.0, xi, pen, ce) == 0
 
 
 def test_decouple_ce_is_large_order_limit():
@@ -242,10 +244,60 @@ def test_decouple_ce_is_large_order_limit():
     for _ in range(1000):
         s = (rng.normal() + 1j * rng.normal()) * 0.8
         a = decouple(s, xi, pen, sup)
-        b = decouple_ce(s, xi, pen.lambda2, 1.0)
+        b = decouple(s, xi, pen, SupportSpec.constant_envelope(1.0))
         near_threshold = abs(abs(s) - tau) < 4.0 / m
         if (a == 0) != (b == 0):
             assert near_threshold
         elif a != 0:
             phase_gap = np.abs(np.angle(a * np.conj(b)))
             assert phase_gap <= 2 * np.pi / m + 1e-12
+
+
+def test_prox_rejects_negative_l1_weight():
+    # a negative l1 weight would enlarge the input instead of shrinking it
+    with pytest.raises(DomainError):
+        prox(PenaltySpec(lambda1=-0.5), FULL, np.array([0.0, 0.1]), 1.0)
+    with pytest.raises(DomainError):
+        prox(PenaltySpec(lambda2=-1.0), FULL, 1.0, step=1.0)
+    with pytest.raises(ConfigurationError):
+        prox(PenaltySpec(), SupportSpec.constant_envelope(1.0), 1.0, 1.0)
+
+
+def _six_scenarios():
+    """(penalty, support, threshold ties) for each covered scenario."""
+    xi, lam, p = 1.3, 0.3, 1.0
+    shrink = 1.0 + xi * lam
+    pen0 = PenaltySpec(lambda2=lam, lambda0=0.7)
+    pen1 = PenaltySpec(lambda2=lam, lambda1=0.8)
+    quad = PenaltySpec(lambda2=lam)
+    tau0 = np.sqrt(xi * pen0.lambda0 * shrink)
+    tau1 = xi * pen1.lambda1 / 2.0
+    tau_ce = np.sqrt(p) * shrink / 2.0
+    return xi, [
+        (pen0, FULL, [tau0]),
+        (pen1, FULL, [tau1]),
+        (pen0, SupportSpec.disk(p), [tau0]),
+        (pen1, SupportSpec.disk(p), [tau1]),
+        (quad, SupportSpec.mpsk_zero(4, p), [tau_ce]),
+        (quad, SupportSpec.constant_envelope(p), [tau_ce]),
+    ]
+
+
+def test_decouple_array_matches_scalar_calls():
+    rng = np.random.default_rng(17)
+    xi, scenarios = _six_scenarios()
+    for pen, sup, ties in scenarios:
+        # random inputs, the origin, the diagonals between QPSK points and
+        # inputs exactly on the zero threshold along the real and
+        # imaginary axes
+        ties = np.array(ties, dtype=complex)
+        s = np.concatenate([
+            (rng.normal(size=40) + 1j * rng.normal(size=40)) * 1.2,
+            [0.0, 0.9 * (1 + 1j), -0.9 * (1 - 1j)],
+            ties, -ties, 1j * ties])
+        out = decouple(s.reshape(2, -1), xi, pen, sup)
+        assert out.shape == (2, s.size // 2)
+        scalar = np.array([decouple(v, xi, pen, sup) for v in s])
+        assert np.array_equal(out.ravel(), scalar)
+        assert np.all(scalar[-3 * ties.size:] == 0)
+        assert isinstance(decouple(s[0], xi, pen, sup), complex)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from glse.errors import ConfigurationError
-from glse.penalties import PenaltySpec, SupportSpec
-from glse.replica import (ScenarioSpec, generic_moments, heuristic_rate,
+from glse.penalties import PenaltySpec, SupportSpec, decouple
+from glse.replica import (ScenarioSpec, _active_segments, generic_moments,
+                          heuristic_rate,
                           lemma2_bound, qfunc, random_tas_asymptote,
                           rate_lower_bound, rs_distortion, scenario_moments,
                           solve_rs_generic, solve_rs_scenario, tune)
@@ -59,6 +60,48 @@ def test_analytic_moments_match_quadrature(penalty, support):
         ana = scenario_moments(penalty, support, xi, rho_rs)
         num = generic_moments(penalty, support, xi, rho_rs)
         np.testing.assert_allclose(ana, num, rtol=1e-6, atol=1e-9)
+
+
+def _bisect(profile, rho_rs, a, b, left_on):
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        if (profile(np.sqrt(rho_rs * mid)) != 0) == left_on:
+            a = mid
+        else:
+            b = mid
+    return a if left_on else b
+
+
+def _segments_by_loop(profile, rho_rs, u_cap=80.0, scan=4001):
+    """Scalar scan with one bisection per boundary (reference)."""
+    us = np.linspace(0.0, u_cap, scan)
+    on = [profile(np.sqrt(rho_rs * u)) != 0 for u in us]
+    segments, lo = [], None
+    for i, flag in enumerate(on):
+        if flag and lo is None:
+            lo = us[0] if i == 0 else _bisect(profile, rho_rs, us[i - 1],
+                                              us[i], False)
+        if lo is not None and (i + 1 == scan or not on[i + 1]):
+            hi = (np.inf if i + 1 == scan
+                  else _bisect(profile, rho_rs, us[i], us[i + 1], True))
+            segments.append((lo, hi))
+            lo = None
+    return segments
+
+
+@pytest.mark.parametrize("profile", [
+    lambda r: decouple(r, 1.3, PenaltySpec(0.3, lambda1=0.4), FULL).real,
+    lambda r: decouple(r, 1.3, PenaltySpec(0.2, lambda0=0.3),
+                       SupportSpec.disk(1.5)).real,
+    lambda r: decouple(r * np.exp(0.3j), 1.3, PenaltySpec(0.2),
+                       SupportSpec.mpsk_zero(4, 1.5)),
+    # active at the origin, three segments, the last one unbounded
+    lambda r: np.where((r < 0.5) | ((r > 1.0) & (r < 2.0)) | (r > 5.0),
+                       r, 0.0),
+])
+def test_active_segments_match_scalar_scan(profile):
+    # one array call per scan and per bisection step, same midpoints
+    assert _active_segments(profile, 1.1) == _segments_by_loop(profile, 1.1)
 
 
 def test_analytic_moments_continued_branch():
@@ -163,12 +206,12 @@ def test_random_tas_equals_quadratic_at_effective_load():
 def test_rate_bounds():
     spec = _spec(PenaltySpec(lambda2=0.3), load=0.5)
     sol = solve_rs_scenario(spec)
-    lb = rate_lower_bound(sol, 0.1)
+    lb = rate_lower_bound(sol.rho, sol.distortion, 0.1)
     assert lb == pytest.approx(np.log(1.0 / (0.1 + sol.distortion)))
     assert heuristic_rate(1.0, sol.p, sol.distortion) == pytest.approx(
         np.log(1 + 1.0 / (sol.p + sol.distortion)))
     with pytest.raises(ConfigurationError):
-        rate_lower_bound(sol, 0.0)
+        rate_lower_bound(sol.rho, sol.distortion, 0.0)
 
 
 def test_qfunc_matches_erfc():
