@@ -8,7 +8,11 @@ active fraction and transmit power follow from the converged state.
 
 Two independent code paths compute the Gaussian moments: analytic
 expressions per scenario (solve_rs_scenario) and numerical quadrature
-driven by the scalar minimizer itself (solve_rs_generic).
+driven by the scalar minimizer itself (solve_rs_generic). The quadrature
+integrates along rays of the input plane, one ray for the phase-equivariant
+supports and 48 Gauss-Legendre phases for M-PSK, with an array-valued
+adaptive Gauss-Legendre rule that calls the scalar minimizer once per
+refinement level on all panels of all rays.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from scipy.optimize import brentq, root
 from scipy.special import erfc, roots_legendre
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .penalties import (CONST_ENVELOPE, DISK, FULL, MPSK_ZERO, PenaltySpec,
-                        SupportSpec, decouple)
+from .penalties import (DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec,
+                        decouple)
 from .rmt import UNIT_ATOMS, r_transform, r_transform_derivative
 
 DEFAULT_DAMPING = 0.5
@@ -226,87 +230,135 @@ def scenario_moments(penalty, support, xi, rho_rs):
 # ---------------------------------------------------------------------------
 # quadrature-driven moments (independent path used by solve_rs_generic)
 # ---------------------------------------------------------------------------
+# Along a ray s = r e^{j theta} with u = r^2/rho_rs, u is Exp(1) under
+# s ~ CN(0, rho_rs), so each moment is an integral against e^{-u} du over
+# the activity segments of the ray.
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(48)
+_RAY_NODES, _RAY_WEIGHTS = roots_legendre(48)  # M-PSK phases in [0, pi/M]
+_PANEL_NODES, _PANEL_WEIGHTS = roots_legendre(16)
+_PANEL_WIDTH = 2.0  # widest initial panel in u
+_PANEL_TOL = 1e-14  # per panel, relative to the moment
+_MAX_LEVELS = 40  # panel halvings before the integrator gives up
+_U_TAIL = 80.0  # an unbounded segment is cut at lo + 80 (e^-80 ~ 2e-35)
 
 
-def _active_segments(profile, rho_rs, u_cap=80.0, scan=4001):
-    """Activity segments of r -> profile(r) over the Rayleigh radius.
+def _active_segments(profile, rho_rs, phases=(1.0,), u_cap=80.0, scan=4001):
+    """Activity segments of s -> profile(s) along rays s = r * phase.
 
-    Returns a list of (u_lo, u_hi) intervals, u = r^2/rho_rs, on which the
-    scalar precoder output is nonzero. profile takes an array of radii.
-    The scan points are evaluated in one call, and every boundary between
-    an inactive and an active scan point is refined by bisection, all
-    boundaries at once.
+    Returns arrays (ray, lo, hi): ray indexes phases, and (lo, hi) are the
+    intervals in u = r^2/rho_rs on which the output is nonzero, ordered by
+    ray and then by u (hi = inf for a segment open at the end of the
+    scan). profile takes an array of inputs. The scan points of every ray
+    are evaluated in one call, and every boundary between an inactive and
+    an active scan point is refined by bisection, all boundaries at once,
+    for at most 100 steps and until no bracket moves: a always keeps the
+    activity of the left scan point and b that of the right one, so a
+    bracket stops once it holds adjacent floats, whose midpoint rounds to
+    one of them. (Only a boundary below u ~ 1e-4 can need more steps.)
     """
+    phases = np.asarray(phases)
     us = np.linspace(0.0, u_cap, scan)
-    flags = profile(np.sqrt(rho_rs * us)) != 0
-    edges = np.flatnonzero(flags[1:] != flags[:-1])
-    a, b = us[edges], us[edges + 1]
-    left_on = flags[edges]
+    flags = profile(phases[:, None] * np.sqrt(rho_rs * us)) != 0
+    ray, edge = np.nonzero(flags[:, 1:] != flags[:, :-1])
+    a, b = us[edge], us[edge + 1]
+    left_on = flags[ray, edge]
     for _ in range(100):
         mid = 0.5 * (a + b)
+        if np.all((mid == a) | (mid == b)):
+            break
         # mid replaces the end of the bracket that shares its activity
-        move_a = (profile(np.sqrt(rho_rs * mid)) != 0) == left_on
+        move_a = (profile(phases[ray] * np.sqrt(rho_rs * mid)) != 0) == left_on
         a = np.where(move_a, mid, a)
         b = np.where(move_a, b, mid)
-    los = list(b[~left_on])
-    his = list(a[left_on])
-    if flags[0]:
-        los.insert(0, us[0])
-    if flags[-1]:
-        his.append(np.inf)
-    return list(zip(los, his))
+    first, last = np.flatnonzero(flags[:, 0]), np.flatnonzero(flags[:, -1])
+    lo_ray = np.concatenate((ray[~left_on], first))
+    lo = np.concatenate((b[~left_on], np.full(first.size, us[0])))
+    hi_ray = np.concatenate((ray[left_on], last))
+    hi = np.concatenate((a[left_on], np.full(last.size, np.inf)))
+    lo_order, hi_order = np.lexsort((lo, lo_ray)), np.lexsort((hi, hi_ray))
+    return lo_ray[lo_order], lo[lo_order], hi[hi_order]
 
 
-def _radial_moments(profile, rho_rs):
-    """Moments for a phase-equivariant scalar map with real radial profile."""
-    segments = _active_segments(profile, rho_rs)
-    power = cross = eta = 0.0
-    for lo, hi in segments:
-        hi_eff = min(hi, lo + 80.0)
-        power += quad(lambda u: profile(np.sqrt(rho_rs * u)) ** 2 * np.exp(-u),
-                      lo, hi_eff, limit=200)[0]
-        cross += quad(lambda u: profile(np.sqrt(rho_rs * u))
-                      * np.sqrt(rho_rs * u) * np.exp(-u),
-                      lo, hi_eff, limit=200)[0]
-        eta += np.exp(-lo) - (0.0 if np.isinf(hi) else np.exp(-hi))
-    return power, cross, eta
+def _panel_edges(lo, hi, width):
+    """Equal panels no wider than width on each interval [lo, hi].
+
+    Returns the panel edges (a, b) and the index of each panel's interval;
+    the edges are those of np.linspace over each interval.
+    """
+    count = np.maximum(np.ceil((hi - lo) / width), 1).astype(int)
+    seg = np.repeat(np.arange(lo.size), count)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
+    step = ((hi - lo) / count)[seg]
+    a = k * step + lo[seg]
+    b = np.where(k + 1 == count[seg], hi[seg], (k + 1) * step + lo[seg])
+    return a, b, seg
+
+
+def _ray_moments(profile, rho_rs, phases=(1.0,)):
+    """Per-ray (E|x|^2, E Re{conj(x) s}, P{x != 0}) of x = profile(s).
+
+    Adaptive Gauss-Legendre quadrature over the activity segments of all
+    rays at once: the segments are cut into panels at most _PANEL_WIDTH
+    wide in u, and each level evaluates the 16-point rule on every
+    unfinished panel and on both its halves in a single profile call. A
+    panel is done when the two estimates agree to _PANEL_TOL times the
+    moment's first estimate; the others are halved for the next level.
+    The tolerance is relative, so neither the input scale rho_rs nor an
+    amplifying quadratic weight can push it below the rounding error.
+    Raises ConvergenceError when panels remain after _MAX_LEVELS levels.
+    """
+    phases = np.asarray(phases)
+    ray, lo, hi = _active_segments(profile, rho_rs, phases)
+    a, b, seg = _panel_edges(lo, np.minimum(hi, lo + _U_TAIL), _PANEL_WIDTH)
+    panel_ray = ray[seg]
+    totals, tol = np.zeros((2, phases.size)), None
+    for _ in range(_MAX_LEVELS):
+        if not a.size:
+            break
+        mid, h = 0.5 * (a + b), 0.5 * (b - a)
+        # the whole panel, its left half and its right half
+        centre = np.stack((mid, mid - 0.5 * h, mid + 0.5 * h), axis=-1)
+        half = np.stack((h, 0.5 * h, 0.5 * h), axis=-1)
+        u = centre[..., None] + half[..., None] * _PANEL_NODES
+        s = phases[panel_ray, None, None] * np.sqrt(rho_rs * u)
+        x = profile(s)
+        f = np.stack((np.abs(x) ** 2, (np.conj(x) * s).real)) * np.exp(-u)
+        est = (f @ _PANEL_WEIGHTS) * half
+        fine = est[..., 1] + est[..., 2]
+        if tol is None:  # relative to the first estimate of each moment
+            tol = _PANEL_TOL * np.abs(fine).sum(axis=1, keepdims=True)
+        done = np.all(np.abs(est[..., 0] - fine) <= tol, axis=0)
+        for total, part in zip(totals, fine):
+            total += np.bincount(panel_ray[done], part[done],
+                                 minlength=phases.size)
+        a, mid, b = a[~done], mid[~done], b[~done]
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        panel_ray = np.tile(panel_ray[~done], 2)
+    if a.size:
+        raise ConvergenceError(
+            f"moment quadrature: {a.size} panels unresolved after "
+            f"{_MAX_LEVELS} levels", {"panels": a.size})
+    eta = np.bincount(ray, np.exp(-lo) - np.exp(-hi), minlength=phases.size)
+    return totals[0], totals[1], eta
 
 
 def generic_moments(penalty, support, xi, rho_rs):
-    """(power, cross, eta) by quadrature over the scalar minimizer."""
-    if support.kind in (FULL, DISK, CONST_ENVELOPE):
-        def profile(r):
-            return decouple(r, xi, penalty, support).real
-        return _radial_moments(profile, rho_rs)
+    """(power, cross, eta) by quadrature over the scalar minimizer.
 
-    # constellation: fold the phase to [0, pi/M] by symmetry and rotation
+    Phase-equivariant supports need one ray; the zero-extended M-PSK
+    constellation is averaged over 48 Gauss-Legendre phases in [0, pi/M],
+    to which symmetry and rotation fold the phase.
+    """
+    def profile(s):
+        return decouple(s, xi, penalty, support)
+
+    if support.kind != MPSK_ZERO:
+        return tuple(float(m[0]) for m in _ray_moments(profile, rho_rs))
     half = np.pi / support.order
-    theta = 0.5 * half * (_GL_NODES + 1.0)
-    weights = 0.5 * half * _GL_WEIGHTS
-    power = cross = eta = 0.0
-    for th, wt in zip(theta, weights):
-        phase = np.exp(1j * th)
-
-        def profile(r, phase=phase):
-            return decouple(r * phase, xi, penalty, support)
-
-        segments = _active_segments(lambda r: profile(r), rho_rs)
-        p_th = c_th = e_th = 0.0
-        for lo, hi in segments:
-            hi_eff = min(hi, lo + 80.0)
-            p_th += quad(lambda u: abs(profile(np.sqrt(rho_rs * u))) ** 2
-                         * np.exp(-u), lo, hi_eff, limit=200)[0]
-            c_th += quad(lambda u: (np.conj(profile(np.sqrt(rho_rs * u)))
-                                    * np.sqrt(rho_rs * u) * phase).real
-                         * np.exp(-u), lo, hi_eff, limit=200)[0]
-            e_th += np.exp(-lo) - (0.0 if np.isinf(hi) else np.exp(-hi))
-        power += wt * p_th
-        cross += wt * c_th
-        eta += wt * e_th
-    scale = support.order / np.pi
-    return power * scale, cross * scale, eta * scale
+    phases = np.exp(0.5j * half * (_RAY_NODES + 1.0))
+    weights = 0.5 * _RAY_WEIGHTS  # (pi/M)/2 per node times M/pi
+    return tuple(float(weights @ m)
+                 for m in _ray_moments(profile, rho_rs, phases))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +430,10 @@ def solve_rs_generic(spec: ScenarioSpec, damping=DEFAULT_DAMPING,
     """Replica-symmetric fixed point using quadrature over the scalar map.
 
     Independent of the analytic expressions: the Gaussian moments are
-    integrated numerically with the scalar minimizer as a black box.
+    integrated numerically with the scalar minimizer as a black box
+    (generic_moments), for every support including the constellations.
+    Each panel of the adaptive rule is resolved to 1e-14 of the moment;
+    a moment that does not resolve raises ConvergenceError.
     """
     return _solve_rs(spec, generic_moments, damping, tol, max_iter, inits)
 

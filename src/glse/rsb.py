@@ -18,7 +18,9 @@ For the binary constellation the inner (tilted) Gaussian integrals are
 evaluated in closed form: the tilt exponent is piecewise linear in the
 real part of the effective input, so every inner integral reduces to erfc
 expressions that stay accurate in log space even for large tilts. The
-outer integral is then smooth and handled by adaptive quadrature. Larger
+outer integral is then smooth and handled by composite Gauss-Legendre
+panels, narrowed to the tilt's own scale where a large tilt makes the
+inner mass switch regions within a small range of the outer value. Larger
 constellations fall back to a tensor Gauss-Hermite grid, which is
 correspondingly coarser near the decision thresholds.
 """
@@ -30,18 +32,22 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import CONST_ENVELOPE, MPSK_ZERO, decouple
-from .replica import (ScenarioSpec, _w, _w_prime, rs_distortion,
-                      scenario_moments, solve_rs_scenario)
+from .replica import (ScenarioSpec, _panel_edges, _w, _w_prime,
+                      rs_distortion, scenario_moments, solve_rs_scenario)
 from .rmt import _validate_atoms
 
 DEFAULT_DAMPING = 0.5
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 4000
 _LOG_2PI = np.log(2.0 * np.pi)
+# Above this tilt slope times Gaussian scale, a * max(s0, sqrt(v)), the
+# binary outer panels narrow to the tilt's scale 1/a; below it the panels at
+# the Gaussian scale err by about 1e-11 relative at 3 and 1e-8 at 5.
+_SHARP_TILT = 6.0
 
 
 @dataclass(frozen=True)
@@ -83,21 +89,19 @@ _GL16 = leggauss(16)
 def _panel_nodes(breakpoints, scale):
     """Composite Gauss-Legendre nodes between sorted breakpoints.
 
-    Each interval is subdivided into panels no wider than 2*scale so the
-    16-point rule resolves the Gaussian-scale variation.
+    Each interval is subdivided into panels no wider than 2*scale (one
+    scale, or one per interval) so the 16-point rule resolves the
+    variation on that scale. The panel edges are those of np.linspace over
+    each interval.
     """
-    xs, ws = [], []
+    lo, hi = np.asarray(breakpoints[:-1]), np.asarray(breakpoints[1:])
+    width = 2.0 * np.broadcast_to(scale, lo.shape)
+    keep = hi > lo
+    a, b, _ = _panel_edges(lo[keep], hi[keep], width[keep])
+    half = 0.5 * (b - a)
     base_x, base_w = _GL16
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        if hi <= lo:
-            continue
-        n_sub = max(int(np.ceil((hi - lo) / (2.0 * scale))), 1)
-        edges = np.linspace(lo, hi, n_sub + 1)
-        for a, b in zip(edges, edges[1:]):
-            half = 0.5 * (b - a)
-            xs.append(0.5 * (a + b) + half * base_x)
-            ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+    xs = 0.5 * (a + b)[:, None] + half[:, None] * base_x
+    return xs.ravel(), (half[:, None] * base_w).ravel()
 
 
 def _reduced_to_real(support, penalty):
@@ -133,7 +137,7 @@ def _binary_inner(t0, theta, a, v):
     z_c = ndtr((theta - t0) / s) - ndtr((-theta - t0) / s)
     with np.errstate(divide="ignore"):
         l_c = np.log(np.maximum(z_c, 0.0))
-    log_z = logsumexp(np.stack([l_a, l_b, l_c]), axis=0)
+    log_z = np.logaddexp(np.logaddexp(l_a, l_b), l_c)
     e_plus = np.exp(l_a - log_z)
     e_minus = np.exp(l_b - log_z)
     # tilted first z-moments of the active regions, assembled from positive
@@ -141,11 +145,11 @@ def _binary_inner(t0, theta, a, v):
     with np.errstate(divide="ignore"):
         log_av = np.log(a * v)
     phi_a = -0.5 * x_a * x_a - 0.5 * _LOG_2PI
-    m_a = logsumexp(np.stack([log_av + log_ndtr(-x_a), np.log(s) + phi_a]),
-                    axis=0) + a * (t0 - theta) + half
+    m_a = (np.logaddexp(log_av + log_ndtr(-x_a), np.log(s) + phi_a)
+           + a * (t0 - theta) + half)
     phi_b = -0.5 * x_b * x_b - 0.5 * _LOG_2PI
-    m_b = logsumexp(np.stack([log_av + log_ndtr(x_b), np.log(s) + phi_b]),
-                    axis=0) - a * (t0 + theta) + half
+    m_b = (np.logaddexp(log_av + log_ndtr(x_b), np.log(s) + phi_b)
+           - a * (t0 + theta) + half)
     m_plus = np.exp(m_a - log_z)
     m_minus = -np.exp(m_b - log_z)
     return log_z, e_plus, e_minus, m_plus, m_minus
@@ -172,9 +176,18 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu, s1_sign):
     v0 = rho_rs / 2.0
     s0 = np.sqrt(v0)
     lim = 12.0 * s0 + theta + 3.0 * (a * v + np.sqrt(v))
-    # the integrand is smooth except at +-theta: composite Gauss-Legendre
-    # panels split there, with sub-panel width tied to the Gaussian scale
-    t0, wt = _panel_nodes((-lim, -theta, theta, lim), max(s0, np.sqrt(v)))
+    scale = max(s0, np.sqrt(v))
+    if a * scale <= _SHARP_TILT:
+        # composite Gauss-Legendre panels at the Gaussian scale
+        breaks, scales = (-lim, -theta, theta, lim), scale
+    else:
+        # the tilt moves the inner mass between the two active regions
+        # within about 1/a of t0 = 0, and between an active region and the
+        # dead zone within 1/a of a point in |t0| < theta: panels 1/a wide
+        # there
+        inner = min(theta + 20.0 / a, lim)
+        breaks, scales = (-lim, -inner, inner, lim), (scale, 0.5 / a, scale)
+    t0, wt = _panel_nodes(breaks, scales)
     log_z, e_p, e_m, m_p, m_m = _binary_inner(t0, theta, a, v)
     pdf = np.exp(-0.5 * t0 * t0 / v0) / np.sqrt(2.0 * np.pi * v0)
     w = wt * pdf

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from glse.errors import ConfigurationError
+from glse.errors import ConfigurationError, ConvergenceError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
-from glse.replica import (ScenarioSpec, _active_segments, generic_moments,
-                          heuristic_rate,
+from glse.replica import (ScenarioSpec, _active_segments, _ray_moments,
+                          generic_moments, heuristic_rate,
                           lemma2_bound, qfunc, random_tas_asymptote,
                           rate_lower_bound, rs_distortion, scenario_moments,
                           solve_rs_generic, solve_rs_scenario, tune)
@@ -52,14 +52,18 @@ def test_quadratic_power_matches_mc():
     (PenaltySpec(lambda2=0.3, lambda1=0.4), FULL),
     (PenaltySpec(lambda2=0.2, lambda0=0.3), SupportSpec.disk(1.5)),
     (PenaltySpec(lambda2=0.2, lambda1=0.3), SupportSpec.disk(1.5)),
+    (PenaltySpec(lambda2=0.3), SupportSpec.constant_envelope(2.5)),
+    (PenaltySpec(lambda2=0.3), SupportSpec.mpsk_zero(2, 2.5)),
+    (PenaltySpec(lambda2=0.3), SupportSpec.mpsk_zero(4, 2.5)),
 ])
 def test_analytic_moments_match_quadrature(penalty, support):
     # dual route: closed-form Gaussian moments against direct quadrature
-    # over the scalar decoupled precoder
+    # over the scalar decoupled precoder; on the disk with l1 at xi = 4 the
+    # clip point lies inside the active segment, a kink of the integrand
     for xi, rho_rs in ((1.3, 2.0), (4.0, 0.7)):
         ana = scenario_moments(penalty, support, xi, rho_rs)
         num = generic_moments(penalty, support, xi, rho_rs)
-        np.testing.assert_allclose(ana, num, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(ana, num, rtol=1e-10, atol=0)
 
 
 def _bisect(profile, rho_rs, a, b, left_on):
@@ -100,8 +104,21 @@ def _segments_by_loop(profile, rho_rs, u_cap=80.0, scan=4001):
                        r, 0.0),
 ])
 def test_active_segments_match_scalar_scan(profile):
-    # one array call per scan and per bisection step, same midpoints
-    assert _active_segments(profile, 1.1) == _segments_by_loop(profile, 1.1)
+    # one array call per scan and per bisection step, same midpoints; the
+    # early stop once no bracket moves leaves the 100-step result unchanged
+    ray, lo, hi = _active_segments(profile, 1.1)
+    assert not ray.any()
+    assert list(zip(lo, hi)) == _segments_by_loop(profile, 1.1)
+
+
+def test_quadrature_raises_when_panels_do_not_converge():
+    # a jump inside an active segment: the panel holding it never passes
+    # the per-panel tolerance, so the level cap is reached
+    def jump(s):
+        return np.where(np.abs(s) < 1.1, s, 2.0 * s)
+
+    with pytest.raises(ConvergenceError):
+        _ray_moments(jump, 1.0)
 
 
 def test_analytic_moments_continued_branch():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import logsumexp
 
 from glse.errors import ConfigurationError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (ScenarioSpec, rs_distortion, solve_rs_scenario,
                           tune)
-from glse.rsb import _grid_moments, _QuadGrid, rsb_distortion, solve_rsb1
+from glse.rsb import (_binary_moments, _grid_moments, _QuadGrid,
+                      rsb_distortion, solve_rsb1)
 
 BPSK = SupportSpec.mpsk_zero(2, 2.5)
 QPSK = SupportSpec.mpsk_zero(4, 2.5)
@@ -84,3 +87,65 @@ def test_grid_moments_run_on_decouple(support):
                                         0.4, 2.0, 1.0)
     assert power == pytest.approx(support.peak_power * eta, rel=1e-12)
     assert 0 < eta < 1
+
+
+def _gauss_legendre(points, width):
+    """16-point Gauss-Legendre panels no wider than width between points."""
+    x16, w16 = leggauss(16)
+    xs, ws = [], []
+    for lo, hi in zip(points, points[1:]):
+        count = max(int(np.ceil((hi - lo) / width)), 1)
+        edges = np.linspace(lo, hi, count + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        xs.append((0.5 * (edges[1:] + edges[:-1]))[:, None] + half * x16)
+        ws.append(half * w16)
+    return np.concatenate(xs).ravel(), np.concatenate(ws).ravel()
+
+
+def _tilted_by_brute_force(penalty, xi, rho_rs, rho1, mu, sign):
+    """_binary_moments from decouple on a tensor grid over Re s_rs, Re s_hat.
+
+    For BPSK the output, the tilt and the moments depend on the real parts
+    only. The inner law of t = Re s_hat given t0 = Re s_rs is N(t0, rho1/2)
+    weighted by the tilt exp(-(mu/xi) * delta(t)); it is summed in log space
+    on a grid split at the thresholds +-theta.
+    """
+    shrink = 1.0 + xi * penalty.lambda2
+    root_p = np.sqrt(BPSK.peak_power)
+    theta, a = root_p * shrink / 2.0, 2.0 * root_p * mu / xi
+    v0, v = rho_rs / 2.0, rho1 / 2.0
+    lim, sharp = 12.0 * np.sqrt(v0), min(theta + 20.0 / a, 6.0 * np.sqrt(v0))
+    fine = min(np.sqrt(v0), np.sqrt(v), 4.0 / a)
+    t0, w0 = np.concatenate([_gauss_legendre(pts, width) for pts, width in (
+        ((-lim, -sharp), np.sqrt(v)), ((-sharp, sharp), fine),
+        ((sharp, lim), np.sqrt(v)))], axis=1)
+    w0 = w0 * np.exp(-0.5 * t0 * t0 / v0) / np.sqrt(2.0 * np.pi * v0)
+    t_lim = lim + a * v + 14.0 * np.sqrt(v) + theta
+    t, wt = _gauss_legendre((-t_lim, -theta, theta, t_lim), np.sqrt(v))
+    x = decouple(t, xi, penalty, BPSK).real
+    log_tilt = -(mu / xi) * (x * x * shrink - 2.0 * x * t)
+    sums = np.zeros(4)
+    for rows in np.array_split(np.arange(t0.size), t0.size // 256 + 1):
+        d = t[None, :] - t0[rows, None]
+        log_w = (np.log(wt) + log_tilt - 0.5 * d * d / v
+                 - 0.5 * np.log(2.0 * np.pi * v))
+        log_z = logsumexp(log_w, axis=1)
+        p = np.exp(log_w - log_z[:, None])
+        sums += w0[rows] @ np.stack([p @ (x != 0), t0[rows] * (p @ x),
+                                     np.sum(p * x * d, axis=1), log_z], 1)
+    eta, cross, cross1, log_z_mean = sums
+    return (BPSK.peak_power * eta, cross, sign * cross1, eta, log_z_mean)
+
+
+@pytest.mark.parametrize("xi,rho_rs,rho1,mu,sign", [
+    (2.0, 1.2, 0.4, 3.0, 1.0),
+    # large tilt: exp of the tilt exponent overflows at the outer range, and
+    # the tilted mass switches regions within 1/a ~ 0.01 in t0
+    (8.0, 3.0, 0.05, 300.0, -1.0),
+])
+def test_binary_moments_match_tilted_double_integral(xi, rho_rs, rho1, mu,
+                                                     sign):
+    penalty = PenaltySpec(lambda2=0.3)
+    closed = _binary_moments(penalty, BPSK, xi, rho_rs, rho1, mu, sign)
+    brute = _tilted_by_brute_force(penalty, xi, rho_rs, rho1, mu, sign)
+    np.testing.assert_allclose(closed, brute, rtol=1e-9, atol=0)
