@@ -352,11 +352,12 @@ def generic_moments(penalty, support, xi, rho_rs):
     def profile(s):
         return decouple(s, xi, penalty, support)
 
-    if support.kind != MPSK_ZERO:
-        return tuple(float(m[0]) for m in _ray_moments(profile, rho_rs))
-    half = np.pi / support.order
-    phases = np.exp(0.5j * half * (_RAY_NODES + 1.0))
-    weights = 0.5 * _RAY_WEIGHTS  # (pi/M)/2 per node times M/pi
+    if support.kind == MPSK_ZERO:
+        half = np.pi / support.order
+        phases = np.exp(0.5j * half * (_RAY_NODES + 1.0))
+        weights = 0.5 * _RAY_WEIGHTS  # (pi/M)/2 per node times M/pi
+    else:
+        phases = weights = np.ones(1)
     return tuple(float(weights @ m)
                  for m in _ray_moments(profile, rho_rs, phases))
 
