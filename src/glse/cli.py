@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .harness import emit_csv, load_sweep_config, run_sweep, run_trial
+from .harness import (emit_csv, load_sweep_config, run_sweep, run_trial,
+                      users_for)
 from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec
 from .replica import (ScenarioSpec, lemma2_bound, rate_lower_bound,
                       solve_rs_scenario, tune)
@@ -66,9 +67,7 @@ def _cmd_tune(args):
 
 
 def _cmd_simulate(args):
-    if args.n % args.alpha_inv and (args.n / args.alpha_inv) % 1:
-        raise ConfigurationError("K = N/alpha_inv must be integral")
-    k = int(round(args.n / args.alpha_inv))
+    k = users_for(args.n, args.alpha_inv)
     penalty = _penalty_from_args(args)
     support = _support_from_args(args)
     stats = [run_trial(args.n, k, args.rho, penalty, support, args.seed + i)

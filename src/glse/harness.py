@@ -42,6 +42,15 @@ def to_db(x):
     return 10.0 * np.log10(x)
 
 
+def users_for(n, alpha_inv):
+    """K = N/alpha_inv as an int; ConfigurationError unless within 1e-9."""
+    k = n / alpha_inv
+    if abs(k - round(k)) > 1e-9:
+        raise ConfigurationError(
+            f"K = N/alpha_inv = {k} not integral at alpha_inv = {alpha_inv}")
+    return int(round(k))
+
+
 @dataclass(frozen=True)
 class GridPoint:
     """One operating point of a sweep."""
@@ -89,11 +98,7 @@ class SweepConfig:
             if int(self.mc.get("n_channels", 0)) <= 0:
                 raise ConfigurationError("mc.n_channels must be positive")
             for point in self.grid:
-                k = n / point.alpha_inv
-                if abs(k - round(k)) > 1e-9:
-                    raise ConfigurationError(
-                        f"K = N/alpha_inv = {k} not integral at "
-                        f"alpha_inv = {point.alpha_inv}")
+                users_for(n, point.alpha_inv)
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -233,7 +238,7 @@ def run_trial(n, k, rho, penalty, support, seed, power_cap=None):
 
 def _mc_batch(point, penalty, support, mc, n_workers):
     n = int(mc["n"])
-    k = int(round(n / point.alpha_inv))
+    k = users_for(n, point.alpha_inv)
     n_channels = int(mc["n_channels"])
     base_seed = int(mc.get("seed", 0))
     cap = power_cap_for(penalty, support, point.power)

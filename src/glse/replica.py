@@ -29,9 +29,9 @@ from .penalties import (DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec,
                         decouple)
 from .rmt import UNIT_ATOMS, r_transform, r_transform_derivative
 
-DEFAULT_DAMPING = 0.5
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
+_DAMPING = 0.5
+_TOL = 1e-10
+_MAX_ITER = 10_000
 CHI_INITS = (0.1, 1.0, 10.0)
 P_INIT_FACTORS = (0.1, 1.0, 10.0)
 
@@ -366,39 +366,39 @@ def generic_moments(penalty, support, xi, rho_rs):
 # fixed-point driver
 # ---------------------------------------------------------------------------
 
-def _rs_fixed_point(spec, moments_fn, chi0, p0, damping, tol, max_iter):
+def _rs_fixed_point(spec, moments_fn, chi0, p0):
     """Damped iteration on (chi, p). Returns (chi, p, residuals, converged)."""
     chi, p = float(chi0), float(p0)
     residuals = {"chi": np.inf, "p": np.inf}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             if not (np.isfinite(chi) and np.isfinite(p)) or chi > 1e12 or p > 1e12:
                 return chi, p, residuals, False
             try:
                 xi, rho_rs = _rs_state(spec, chi, p)
+                power, cross, _ = moments_fn(spec.penalty, spec.support, xi,
+                                             rho_rs)
             except DomainError:
                 return chi, p, residuals, False
-            power, cross, _ = moments_fn(spec.penalty, spec.support, xi, rho_rs)
             chi_new = xi * cross / rho_rs
             p_new = power
             if not (np.isfinite(chi_new) and np.isfinite(p_new)):
                 return chi, p, residuals, False
             residuals = {"chi": abs(chi_new - chi), "p": abs(p_new - p)}
-            chi = max(chi + damping * (chi_new - chi), 0.0)
-            p = max(p + damping * (p_new - p), 0.0)
-            if max(residuals.values()) < tol:
+            chi = max(chi + _DAMPING * (chi_new - chi), 0.0)
+            p = max(p + _DAMPING * (p_new - p), 0.0)
+            if max(residuals.values()) < _TOL:
                 return chi, p, residuals, True
     return chi, p, residuals, False
 
 
-def _solve_rs(spec, moments_fn, damping, tol, max_iter, inits=None):
+def _solve_rs(spec, moments_fn, inits):
     if inits is None:
         inits = [(c, f * spec.rho) for c in CHI_INITS for f in P_INIT_FACTORS]
     solutions = []
     last_res = {}
     for chi0, p0 in inits:
-        chi, p, res, ok = _rs_fixed_point(spec, moments_fn, chi0, p0,
-                                          damping, tol, max_iter)
+        chi, p, res, ok = _rs_fixed_point(spec, moments_fn, chi0, p0)
         last_res = res
         if not ok:
             continue
@@ -418,25 +418,23 @@ def _solve_rs(spec, moments_fn, damping, tol, max_iter, inits=None):
                       eta=float(eta), residuals=res, rho=spec.rho)
 
 
-def solve_rs_scenario(spec: ScenarioSpec, damping=DEFAULT_DAMPING,
-                      tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                      inits=None) -> RsSolution:
+def solve_rs_scenario(spec: ScenarioSpec, inits=None) -> RsSolution:
     """Replica-symmetric fixed point using the analytic scenario moments."""
-    return _solve_rs(spec, scenario_moments, damping, tol, max_iter, inits)
+    return _solve_rs(spec, scenario_moments, inits)
 
 
-def solve_rs_generic(spec: ScenarioSpec, damping=DEFAULT_DAMPING,
-                     tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                     inits=None) -> RsSolution:
+def solve_rs_generic(spec: ScenarioSpec, inits=None) -> RsSolution:
     """Replica-symmetric fixed point using quadrature over the scalar map.
 
     Independent of the analytic expressions: the Gaussian moments are
     integrated numerically with the scalar minimizer as a black box
     (generic_moments), for every support including the constellations.
     Each panel of the adaptive rule is resolved to 1e-14 of the moment;
-    a moment that does not resolve raises ConvergenceError.
+    a moment that does not resolve raises ConvergenceError. A start whose
+    iterate leaves the coercive region 1 + xi*lambda2 > 0, where the scalar
+    minimizer raises DomainError, is dropped like any diverging start.
     """
-    return _solve_rs(spec, generic_moments, damping, tol, max_iter, inits)
+    return _solve_rs(spec, generic_moments, inits)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +457,19 @@ def _chi_from_q(q, what):
             f"infeasible targets: implied fixed point requires {what} = {q} "
             "> 0 and != 1")
     return q / (1.0 - q)
+
+
+def _root_from(equations, starts, failure):
+    """First hybr root over the starts, in order; ConfigurationError if none.
+
+    A root counts when hybr reports success and every residual is below
+    1e-9.
+    """
+    for z0 in starts:
+        sol = root(equations, z0, method="hybr", tol=1e-13)
+        if sol.success and np.max(np.abs(sol.fun)) < 1e-9:
+            return sol.x
+    raise ConfigurationError(f"{failure} (last residual {sol.fun})")
 
 
 def _tune_full_l0(spec, p_t, eta_t):
@@ -491,8 +502,8 @@ def _tune_full_l1(spec, p_t, eta_t):
 
 
 def _tune_disk(spec, p_t, eta_t, sparsity):
-    # unknowns: shrink = 1 + xi*lambda2 (>= 1), sparse threshold tau (>= 0),
-    # chi (>= 0); rho_rs is pinned by the power target
+    # unknowns, solved in logs: shrink = 1 + xi*lambda2, sparse threshold
+    # tau and chi, all positive; rho_rs is pinned by the power target
     rho_rs = (spec.rho + p_t) / spec.load
     peak = spec.support.peak_power
 
@@ -528,12 +539,10 @@ def _tune_disk(spec, p_t, eta_t, sparsity):
         return [power - p_t, eta - eta_t, chi - xi * cross / rho_rs]
 
     z0 = np.log([max(shrink0, 1e-3), max(tau0, 1e-3), max(chi0, 1e-3)])
-    sol = root(equations, z0, method="hybr", tol=1e-13)
-    if not sol.success or np.max(np.abs(sol.fun)) > 1e-8:
-        raise ConfigurationError(
-            f"tuning did not reach the targets (residual {sol.fun}); "
-            f"peak power {peak} may make (p={p_t}, eta={eta_t}) infeasible")
-    pen, chi, _ = unpack(sol.x)
+    z = _root_from(equations, [z0], (
+        f"tuning did not reach the targets; peak power {peak} may make "
+        f"(p={p_t}, eta={eta_t}) infeasible"))
+    pen, chi, _ = unpack(z)
     return pen, chi
 
 
@@ -548,17 +557,11 @@ def _tune_disk_power(spec, p_t):
         power, cross, _ = scenario_moments(pen, spec.support, xi, rho_rs)
         return [power - p_t, chi - xi * cross / rho_rs]
 
-    sol = None
-    for z0 in ([0.0, 0.0], [0.5, 1.0], [-0.5, 2.0], [1.0, -1.0]):
-        cand = root(equations, z0, method="hybr", tol=1e-13)
-        if cand.success and np.max(np.abs(cand.fun)) < 1e-9:
-            sol = cand
-            break
-    if sol is None:
-        raise ConfigurationError(
-            f"disk power tuning failed: peak power {spec.support.peak_power} "
-            f"may be too small for target power {p_t}")
-    shrink, chi = np.exp(sol.x)
+    z = _root_from(
+        equations, ([0.0, 0.0], [0.5, 1.0], [-0.5, 2.0], [1.0, -1.0]),
+        f"disk power tuning failed: peak power {spec.support.peak_power} "
+        f"may be too small for target power {p_t}")
+    shrink, chi = np.exp(z)
     xi = (1.0 + chi) / spec.load
     return PenaltySpec(lambda2=(shrink - 1.0) / xi), chi
 
@@ -572,25 +575,20 @@ def _tune_constellation(spec, p_t, eta_t):
     rho_rs = (spec.rho + p_t) / spec.load
 
     def equations(z):
-        lam = np.exp(z[0]) - 1.0  # lambda2 in (-1, inf): shrink stays positive
+        # lambda2 in (-1, inf); shrink = 1 + xi*lambda2 still goes
+        # nonpositive when xi > 1
+        lam = np.exp(z[0]) - 1.0
         chi = np.exp(z[1])
         xi = (1.0 + chi) / spec.load
         pen = PenaltySpec(lambda2=lam)
         _, cross, eta = scenario_moments(pen, spec.support, xi, rho_rs)
         return [eta - eta_t, chi - xi * cross / rho_rs]
 
-    sol = None
-    for z0 in ([0.4, 0.0], [0.05, 0.5], [1.0, -0.5], [0.0, 1.0]):
-        cand = root(equations, z0, method="hybr", tol=1e-13)
-        if cand.success and np.max(np.abs(cand.fun)) < 1e-9:
-            sol = cand
-            break
-    if sol is None:
-        raise ConfigurationError(
-            "constellation tuning failed: activity target may be unreachable "
-            "for this support and load")
-    lam = np.exp(sol.x[0]) - 1.0
-    return PenaltySpec(lambda2=lam), float(np.exp(sol.x[1]))
+    z = _root_from(
+        equations, ([0.4, 0.0], [0.05, 0.5], [1.0, -0.5], [0.0, 1.0]),
+        "constellation tuning failed: activity target may be unreachable "
+        "for this support and load")
+    return PenaltySpec(lambda2=np.exp(z[0]) - 1.0), float(np.exp(z[1]))
 
 
 def solution_at(spec: ScenarioSpec, chi, p,
@@ -622,12 +620,7 @@ def tune(spec: ScenarioSpec, target_power, target_eta, sparsity=None):
     if not target_power > 0:
         raise ConfigurationError("target_power must be positive")
     if sparsity is None:
-        if spec.penalty.lambda1 != 0:
-            sparsity = "l1"
-        elif spec.penalty.lambda0 != 0:
-            sparsity = "l0"
-        else:
-            sparsity = "l0"
+        sparsity = "l1" if spec.penalty.lambda1 != 0 else "l0"
     if sparsity not in ("l0", "l1"):
         raise ConfigurationError("sparsity must be 'l0' or 'l1'")
 

@@ -7,12 +7,14 @@ Lambda = exp(-mu * min_v E(v | s_rs, s1)). The state is (chi, p, c, mu)
 with chi_tilde = chi + mu*c; mu solves a scalar stationarity equation
 nested outside the damped (chi, p, c) iteration.
 
-Two printed forms of the system circulate with small discrepancies (the
-second moment equation's left side, the sign with which s1 enters the
-effective input, and the exponent of the mu-equation). All three choices
-are runtime-selectable; defaults follow the saddle-point system (the form
-whose scalar stationarity equation has a root where breaking occurs) with
-the mu-equation right side evaluated in the Lambda form.
+One form of the saddle-point system is solved: chi_tilde + mu*p on the
+left of the second moment equation, s1 added to the effective input, and
+mu^2 p rho1/xi^2 as the leading term of the mu equation, whose right side
+is evaluated in the Lambda form. Printed variants differ in these three
+places, but they are not working alternatives: at BPSK, alpha_inv 2.5,
+eta 0.4 (D_rs 0.1801) with the default mu bracket, this form gives D_rsb
+0.2081; the variant with the exponent mu^2 p sqrt(rho1)/xi gives 0.1855
+at mu 1.64, and the six others find no root of the mu equation.
 
 For the binary constellation the inner (tilted) Gaussian integrals are
 evaluated in closed form: the tilt exponent is piecewise linear in the
@@ -40,9 +42,10 @@ from .replica import (ScenarioSpec, _panel_edges, _w, _w_prime,
                       rs_distortion, scenario_moments, solve_rs_scenario)
 from .rmt import _validate_atoms
 
-DEFAULT_DAMPING = 0.5
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 4000
+_DAMPING = 0.5
+_TOL = 1e-9
+_MAX_ITER = 4000
+_GRID_ORDER = 24  # Gauss-Hermite nodes per real axis of the tensor grid
 _LOG_2PI = np.log(2.0 * np.pi)
 # Above this tilt slope times Gaussian scale, a * max(s0, sqrt(v)), the
 # binary outer panels narrow to the tilt's scale 1/a; below it the panels at
@@ -104,12 +107,6 @@ def _panel_nodes(breakpoints, scale):
     return xs.ravel(), (half[:, None] * base_w).ravel()
 
 
-def _reduced_to_real(support, penalty):
-    """True when the integrands depend on the real axes only (binary case)."""
-    return (support.kind == MPSK_ZERO and support.order == 2
-            and penalty.lambda0 == 0 and penalty.lambda1 == 0)
-
-
 # ---------------------------------------------------------------------------
 # closed-form inner integrals for the binary constellation
 # ---------------------------------------------------------------------------
@@ -155,22 +152,17 @@ def _binary_inner(t0, theta, a, v):
     return log_z, e_plus, e_minus, m_plus, m_minus
 
 
-def _binary_moments(penalty, support, xi, rho_rs, rho1, mu, s1_sign):
+def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
     """Tilted moments for the binary constellation, closed-form inner part.
 
     Returns (E|x|^2, E Re{x s_rs*}, E Re{x s1*}, eta, E log Z) where the
-    tilted inner average is taken before the outer expectation. The sign
-    convention for s1 only flips the cross moment because the inner law is
-    symmetric.
+    tilted inner average is taken before the outer expectation; rho1 > 0.
     """
     shrink = 1.0 + xi * penalty.lambda2
     if shrink <= 0:
         raise DomainError("scalar problem not coercive")
     root_p = np.sqrt(support.peak_power)
     theta = root_p * shrink / 2.0
-    if rho1 <= 0:
-        power, cross, eta = scenario_moments(penalty, support, xi, rho_rs)
-        return power, cross, 0.0, eta, 0.0
     a = 2.0 * root_p * mu / xi
     v = rho1 / 2.0
     v0 = rho_rs / 2.0
@@ -197,7 +189,7 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu, s1_sign):
     m1 = root_p * float(np.sum(w * (m_p - m_m)))
     eta = float(np.sum(w * act))
     log_z_mean = float(np.sum(w * log_z))
-    return m_pc, m0, s1_sign * m1, eta, log_z_mean
+    return m_pc, m0, m1, eta, log_z_mean
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +197,14 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu, s1_sign):
 # ---------------------------------------------------------------------------
 
 class _QuadGrid:
-    """Tensor Gauss-Hermite grid over (s_rs, s1), four real axes."""
+    """Tensor Gauss-Hermite grid over (s_rs, s1), four real axes.
 
-    def __init__(self, order_outer, order_inner):
-        t0, w0 = _gauss_axes(order_outer)
-        t1, w1 = _gauss_axes(order_inner)
+    outer and inner are the node counts per real axis of s_rs and of s1.
+    """
+
+    def __init__(self, outer=_GRID_ORDER, inner=_GRID_ORDER):
+        t0, w0 = _gauss_axes(outer)
+        t1, w1 = _gauss_axes(inner)
         s0 = t0[:, None] + 1j * t0[None, :]
         s1 = t1[:, None] + 1j * t1[None, :]
         self.s0 = s0[:, :, None, None]
@@ -218,11 +213,11 @@ class _QuadGrid:
         self.w_inner = (w1[:, None] * w1[None, :])[None, None, :, :]
 
 
-def _grid_moments(grid, penalty, support, xi, rho_rs, rho1, mu, s1_sign):
+def _grid_moments(grid, penalty, support, xi, rho_rs, rho1, mu):
     """Tilted moments (E|x|^2, E Re{x s_rs*}, E Re{x s1*}, eta, E log Z)."""
     s_rs = np.sqrt(rho_rs) * grid.s0
     s1 = np.sqrt(max(rho1, 0.0)) * grid.s1
-    s_hat = s_rs + s1_sign * s1
+    s_hat = s_rs + s1
     x = decouple(s_hat, xi, penalty, support)
     # min objective minus |s_hat|^2 (0 for x = 0): the tilt exponent
     delta = (np.abs(x) ** 2 * (1.0 + xi * penalty.lambda2)
@@ -279,35 +274,46 @@ def rsb_distortion(spec, chi, p, c, mu):
     return base + (xi * c - chi_tilde * rho1) / (xi**2 * spec.load)
 
 
-def _mu_residual(spec, chi, p, c, mu, xi, rho1, chi_tilde, log_z, mu_exponent):
-    if mu_exponent == "squared":
-        lead = mu**2 * p * rho1 / xi**2
-    else:  # "linear": exponent printed in the saddle-point system
-        lead = mu**2 * p * np.sqrt(rho1) / xi
+def _mu_residual(spec, mu, state):
+    """Scalar stationarity equation in mu at an inner fixed point."""
+    chi, p, c, xi, _, rho1, chi_tilde, _, log_z = state[:9]
     integral = _r_integral(spec.load, spec.pathloss_atoms, chi, chi_tilde)
-    return lead + mu * c / xi - integral - log_z
+    return mu**2 * p * rho1 / xi**2 + mu * c / xi - integral - log_z
 
 
-def _inner_fixed_point(spec, moments_fn, mu, chi0, p0, c0, damping, tol,
-                       max_iter, third_equation, s1_sign):
+def _inner_fixed_point(spec, grid, mu, chi0, p0, c0):
+    """Damped (chi, p, c) iteration at fixed mu, or None if it fails.
+
+    grid is the tensor grid for the tilted moments, or None for the binary
+    constellation (closed-form inner integrals). With rho1 = 0 the tilt is
+    1 and the analytic single-Gaussian moments apply.
+    """
+    penalty, support = spec.penalty, spec.support
     chi, p, c = float(chi0), float(p0), float(c0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             if not all(np.isfinite(v) for v in (chi, p, c)) or chi > 1e9 or p > 1e9:
                 return None
             try:
                 xi, rho_rs, rho1, chi_tilde = _rsb_state(spec, chi, p, mu, c)
-                m_pc, m0, m1, eta, log_z = moments_fn(
-                    spec.penalty, spec.support, xi, rho_rs, rho1, mu, s1_sign)
+                if rho1 <= 0:
+                    # scenario_moments does not check coercivity itself
+                    if 1.0 + xi * penalty.lambda2 <= 0:
+                        raise DomainError("scalar problem not coercive")
+                    m_pc, m0, eta = scenario_moments(penalty, support, xi,
+                                                     rho_rs)
+                    m1 = log_z = 0.0
+                elif grid is None:
+                    m_pc, m0, m1, eta, log_z = _binary_moments(
+                        penalty, support, xi, rho_rs, rho1, mu)
+                else:
+                    m_pc, m0, m1, eta, log_z = _grid_moments(
+                        grid, penalty, support, xi, rho_rs, rho1, mu)
             except DomainError:
                 return None
             chi_tilde_new = xi * m0 / rho_rs
             if rho1 > 0:
-                ratio = xi * m1 / rho1
-                if third_equation == "proposition":
-                    p_new = ratio - chi_tilde
-                else:  # "saddle": chi_tilde + mu*p on the left side
-                    p_new = (ratio - chi_tilde) / mu
+                p_new = (xi * m1 / rho1 - chi_tilde) / mu
             else:
                 p_new = m_pc - c
             c_new = m_pc - p_new
@@ -316,16 +322,47 @@ def _inner_fixed_point(spec, moments_fn, mu, chi0, p0, c0, damping, tol,
                 return None
             res = {"chi": abs(chi_new - chi), "p": abs(p_new - p),
                    "c": abs(c_new - c)}
-            chi = max(chi + damping * (chi_new - chi), 0.0)
-            p = max(p + damping * (p_new - p), 0.0)
-            c = max(c + damping * (c_new - c), 0.0)
-            if max(res.values()) < tol:
+            chi = max(chi + _DAMPING * (chi_new - chi), 0.0)
+            p = max(p + _DAMPING * (p_new - p), 0.0)
+            c = max(c + _DAMPING * (c_new - c), 0.0)
+            if max(res.values()) < _TOL:
                 return (chi, p, c, xi, rho_rs, rho1, chi_tilde, eta,
                         log_z, res)
     return None
 
 
-def _forced_rs(spec, moments_fn, damping, tol, max_iter):
+def _best_of_starts(spec, grid, mu, starts, broken):
+    """Lowest-distortion inner fixed point over the starts (chi0, p0, c0).
+
+    With broken set, fixed points that collapse to c = 0 are skipped.
+    Returns the state with its distortion appended (or None) and whether
+    some start collapsed.
+    """
+    best, collapsed = None, False
+    for chi0, p0, c0 in starts:
+        out = _inner_fixed_point(spec, grid, mu, chi0, p0, c0)
+        if out is None:
+            continue
+        chi, p, c = out[:3]
+        if broken and c <= 1e-10:
+            collapsed = True
+            continue
+        d = rsb_distortion(spec, chi, p, c, mu)
+        if best is None or d < best[-1]:
+            best = out + (d,)
+    return best, collapsed
+
+
+def _solution(spec, mu, state, extra_residuals=None):
+    chi, p, c, xi, rho_rs, rho1, chi_tilde, eta, _, res, d = state
+    return RsbSolution(chi=chi, p=p, c=c, mu=float(mu), rho_rs=rho_rs,
+                       rho_rsb1=rho1, chi_tilde=chi_tilde, xi=xi,
+                       distortion=d, eta=eta,
+                       residuals={**res, **(extra_residuals or {})},
+                       rho=spec.rho)
+
+
+def _forced_rs(spec, grid):
     """Degenerate path c = 0, run through the broken-state machinery.
 
     With c = 0 the inner variance vanishes, the tilt weight is identically
@@ -333,33 +370,22 @@ def _forced_rs(spec, moments_fn, damping, tol, max_iter):
     system; the state and distortion formulas are still the broken-state
     ones, so agreement with the symmetric solver checks the degeneration.
     """
-    mu = 1.0
-    candidates = []
-    for chi0, p0 in ((0.5, 0.5 * spec.rho), (1.0, spec.rho),
-                     (2.0, 2.0 * spec.rho), (5.0, spec.rho)):
-        out = _inner_fixed_point(spec, moments_fn, mu, chi0, p0, 0.0,
-                                 damping, tol, max_iter, "proposition", 1.0)
-        if out is None:
-            continue
-        chi, p, c = out[:3]
-        d = rsb_distortion(spec, chi, p, c, mu)
-        candidates.append(out + (d,))
-    if not candidates:
+    starts = ((0.5, 0.5 * spec.rho, 0.0), (1.0, spec.rho, 0.0),
+              (2.0, 2.0 * spec.rho, 0.0), (5.0, spec.rho, 0.0))
+    best, _ = _best_of_starts(spec, grid, 1.0, starts, broken=False)
+    if best is None:
         raise ConvergenceError("degenerate fixed point did not converge", {})
-    best = min(candidates, key=lambda s: s[-1])
-    chi, p, c, xi, rho_rs, rho1, chi_tilde, eta, log_z, res, d = best
-    return RsbSolution(chi=chi, p=p, c=c, mu=mu, rho_rs=rho_rs,
-                       rho_rsb1=rho1, chi_tilde=chi_tilde, xi=xi,
-                       distortion=d, eta=eta, residuals=res, rho=spec.rho)
+    return _solution(spec, 1.0, best)
 
 
 def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
-               third_equation="saddle", s1_sign=1.0,
-               mu_exponent="squared", mu_bracket=(0.05, 120.0),
-               order_outer=24, order_inner=24,
-               damping=DEFAULT_DAMPING, tol=DEFAULT_TOL,
-               max_iter=DEFAULT_MAX_ITER) -> RsbSolution:
+               mu_bracket=(0.05, 120.0)) -> RsbSolution:
     """One-step broken fixed point for constellation supports.
+
+    Solves the saddle-point system in the one form described in the module
+    docstring. The binary constellation uses closed-form inner integrals
+    and adaptive outer quadrature; larger constellations and constant
+    envelope use a 24-node Gauss-Hermite grid per real axis.
 
     Args:
         spec: scenario; support must be the zero-extended constellation or
@@ -367,34 +393,13 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
             scenarios are covered by the symmetric solver.
         force_c_zero: solve the degenerate c = 0 system through the broken
             machinery; the result must match the symmetric solver.
-        third_equation: "saddle" (default) uses chi_tilde + mu*p on the
-            left of the second moment equation, the form under which the
-            scalar stationarity equation has a root in practice;
-            "proposition" uses p + chi_tilde as printed in the summary
-            statement of the system.
-        s1_sign: +1 adds the inner component to the effective input
-            (proposition form); -1 subtracts it (saddle-point form).
-        mu_exponent: "squared" uses mu^2 p rho1/xi^2 in the mu equation;
-            "linear" uses mu^2 p sqrt(rho1)/xi as printed in the
-            saddle-point system.
         mu_bracket: search interval for the scalar mu equation.
-        order_outer, order_inner: Gauss-Hermite orders per real axis for
-            constellations beyond the binary one (which uses closed-form
-            inner integrals and adaptive outer quadrature instead).
 
     Returns:
         RsbSolution minimizing the broken-state distortion among converged
         candidates. If every candidate collapses to c = 0 the breaking is
         absent and the degenerate (symmetric) solution is returned.
     """
-    if third_equation not in ("proposition", "saddle"):
-        raise ConfigurationError("third_equation must be 'proposition' or 'saddle'")
-    if mu_exponent not in ("squared", "linear"):
-        raise ConfigurationError("mu_exponent must be 'squared' or 'linear'")
-    if s1_sign not in (1.0, -1.0, 1, -1):
-        raise ConfigurationError("s1_sign must be +1 or -1")
-    s1_sign = float(s1_sign)
-
     if spec.support.kind not in (MPSK_ZERO, CONST_ENVELOPE):
         raise ConfigurationError(
             "one-step broken solver covers constellation supports; convex "
@@ -403,51 +408,22 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
         raise ConfigurationError(
             "constellation scenarios cover the quadratic penalty only")
 
-    if _reduced_to_real(spec.support, spec.penalty):
-        moments_fn = _binary_moments
-    else:
-        grid = _QuadGrid(order_outer, order_inner)
-
-        def moments_fn(penalty, support, xi, rho_rs, rho1, mu, sign):
-            if rho1 <= 0:
-                # tilt weight is 1: the inner integral is trivial and the
-                # remaining single-Gaussian moments have analytic forms
-                power, cross, eta = scenario_moments(penalty, support, xi,
-                                                     rho_rs)
-                return power, cross, 0.0, eta, 0.0
-            return _grid_moments(grid, penalty, support, xi, rho_rs, rho1,
-                                 mu, sign)
-
+    # the binary integrands depend on the real axes only
+    grid = None if spec.support.order == 2 else _QuadGrid()
     if force_c_zero:
-        return _forced_rs(spec, moments_fn, damping, tol, max_iter)
+        return _forced_rs(spec, grid)
 
     rs = solve_rs_scenario(spec)
-    c_inits = (0.02 * max(rs.p, 0.1), 0.2 * max(rs.p, 0.1), max(rs.p, 0.1))
+    starts = tuple((rs.chi, rs.p, f * max(rs.p, 0.1))
+                   for f in (0.02, 0.2, 1.0))
     saw_degenerate = False
 
     def converge_at(mu):
         """Best nondegenerate inner fixed point at this mu, or None."""
         nonlocal saw_degenerate
-        best = None
-        for c0 in c_inits:
-            out = _inner_fixed_point(spec, moments_fn, mu, rs.chi, rs.p, c0,
-                                     damping, tol, max_iter,
-                                     third_equation, s1_sign)
-            if out is None:
-                continue
-            chi, p, c = out[:3]
-            if c <= 1e-10:
-                saw_degenerate = True
-                continue
-            d = rsb_distortion(spec, chi, p, c, mu)
-            if best is None or d < best[-1]:
-                best = out + (d,)
+        best, collapsed = _best_of_starts(spec, grid, mu, starts, broken=True)
+        saw_degenerate |= collapsed
         return best
-
-    def mu_res(mu, state):
-        chi, p, c, xi, _, rho1, chi_tilde, _, log_z, _, _ = state
-        return _mu_residual(spec, chi, p, c, mu, xi, rho1, chi_tilde,
-                            log_z, mu_exponent)
 
     lo, hi = mu_bracket
     mus = np.geomspace(lo, hi, 20)
@@ -456,7 +432,7 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
         st = converge_at(mu)
         if st is not None:
             states[mu] = st
-            values[mu] = mu_res(mu, st)
+            values[mu] = _mu_residual(spec, mu, st)
     keys = sorted(states)
     bracket = None
     for a, b in zip(keys, keys[1:]):
@@ -465,7 +441,7 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
             break
     if bracket is None:
         if not states and saw_degenerate:
-            return _forced_rs(spec, moments_fn, damping, tol, max_iter)
+            return _forced_rs(spec, grid)
         raise ConvergenceError(
             "no root of the mu equation in the bracket; widen mu_bracket",
             {"mu_residuals": {float(k): float(values[k]) for k in keys}})
@@ -478,7 +454,7 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
         cand = converge_at(mid)
         if cand is None:
             break
-        fm = mu_res(mid, cand)
+        fm = _mu_residual(spec, mid, cand)
         st = cand
         if fm == 0.0 or (b - a) < 1e-6 * b:
             a = b = mid
@@ -489,10 +465,5 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
             b = mid
     mu = np.sqrt(a * b)
     final = converge_at(mu) or st
-    chi, p, c, xi, rho_rs, rho1, chi_tilde, eta, log_z, res, d = final
-    res = dict(res)
-    res["mu"] = abs(_mu_residual(spec, chi, p, c, mu, xi, rho1, chi_tilde,
-                                 log_z, mu_exponent))
-    return RsbSolution(chi=chi, p=p, c=c, mu=float(mu), rho_rs=rho_rs,
-                       rho_rsb1=rho1, chi_tilde=chi_tilde, xi=xi,
-                       distortion=d, eta=eta, residuals=res, rho=spec.rho)
+    return _solution(spec, mu, final,
+                     {"mu": abs(_mu_residual(spec, mu, final))})

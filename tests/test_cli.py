@@ -31,6 +31,15 @@ def test_simulate_command(capsys):
     assert payload["distortion_mean"] > 0
 
 
+def test_simulate_accepts_sweep_integral_users(capsys):
+    # 64/1.3061224489795917 = 49 up to rounding; a sweep accepts this point,
+    # so simulate must too
+    rc = main(["simulate", "--alpha-inv", "1.3061224489795917", "--n", "64",
+               "--trials", "1", "--lambda2", "0.3"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["n_trials"] == 1
+
+
 def test_bound_command(capsys):
     rc = main(["bound", "--alpha-inv", "2", "--eta", "0.4",
                "--peak-power", "2.5", "--sigma2", "0.1",
