@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .harness import (emit_csv, load_sweep_config, run_sweep, run_trial,
+from .harness import (emit_csv, load_sweep_config, run_sweep, run_trials,
                       users_for)
 from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec
 from .replica import (ScenarioSpec, lemma2_bound, rate_lower_bound,
@@ -70,9 +70,8 @@ def _cmd_simulate(args):
     k = users_for(args.n, args.alpha_inv)
     penalty = _penalty_from_args(args)
     support = _support_from_args(args)
-    stats = [run_trial(args.n, k, args.rho, penalty, support, args.seed + i)
-             for i in range(args.trials)]
-    d, p, eta = (np.array([s[i] for s in stats]) for i in range(3))
+    d, p, eta = run_trials(args.n, k, args.rho, penalty, support,
+                           range(args.seed, args.seed + args.trials))
     _emit({"n_trials": args.trials, "seed": args.seed,
            "distortion_mean": d.mean(),
            "distortion_stderr": (d.std(ddof=1) / np.sqrt(len(d))

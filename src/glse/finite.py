@@ -83,34 +83,60 @@ def _output(h, s, rho, penalty, x, iterations, converged, residual=None,
 
 
 def _capped_prox(penalty, support, w, step, power_cap):
-    """Proximal map with an optional average-power ball constraint.
+    """Proximal map with an optional average-power ball constraint, per row.
 
-    The ball prox is exact composition: soft thresholding fixes the active
-    set independently of any extra ridge multiplier, so projecting the
-    thresholded point radially onto the ball solves the joint subproblem.
+    w is a (B, N) stack and step a (B, 1) column; each row is kept inside
+    its own ball ||v||^2 <= N * power_cap. The ball prox is exact
+    composition: soft thresholding fixes the active set independently of
+    any extra ridge multiplier, so projecting the thresholded point
+    radially onto the ball solves the joint subproblem.
     """
     v = prox(penalty, support, w, step)
     if power_cap is not None:
-        budget = power_cap * v.size
-        nrm2 = float(np.vdot(v, v).real)
-        if nrm2 > budget:
-            v = v * np.sqrt(budget / nrm2)
+        budget = power_cap * v.shape[-1]
+        nrm2 = np.vecdot(v, v).real
+        over = nrm2 > budget
+        if over.any():
+            v[over] = v[over] * np.sqrt(budget / nrm2[over])[:, None]
     return v
+
+
+def _prox_grad_step(gram, hts, y, step, penalty, support, power_cap):
+    """x = capped prox(y - step * grad(y)) per row, grad = 2(G y - H^H hs)."""
+    grad = 2.0 * (np.matmul(gram, y[..., None])[..., 0] - hts)
+    return _capped_prox(penalty, support, y - step * grad, step, power_cap)
+
+
+def _stack_objective(h, hs, penalty, x):
+    """Per-row ||H x - hs||^2 + sum_n u(x_n) over a (B, N) stack x."""
+    resid = np.matmul(h, x[..., None])[..., 0] - hs
+    return np.vecdot(resid, resid).real + np.sum(penalty.value(x), axis=-1)
+
+
+def _row_norms(v):
+    """np.linalg.norm of each row of v, with the same arithmetic."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 def optimality_residual(h, s, rho, penalty, support, x, power_cap=None):
     """Proximal fixed-point residual ||x - prox(x - grad/L)|| of the iterate."""
     lip = 2.0 * np.linalg.norm(h, 2) ** 2
-    grad = 2.0 * (h.conj().T @ (h @ x - np.sqrt(rho) * s))
-    step = 1.0 / lip
+    gram = h.conj().T @ h
+    hts = h.conj().T @ (np.sqrt(rho) * s)
+    step = np.full((1, 1), 1.0 / lip)
+    x = np.asarray(x, dtype=complex)[None]
     return float(np.linalg.norm(
-        x - _capped_prox(penalty, support, x - step * grad, step, power_cap)))
+        x - _prox_grad_step(gram[None], hts[None], x, step, penalty, support,
+                            power_cap)))
 
 
 def glse_convex(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
                 max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL,
                 power_cap=None) -> PrecodeOutput:
     """Accelerated proximal-gradient solver for the convex scenarios.
+
+    The one-instance case of glse_convex_stack: the result is the same,
+    bit for bit, as that instance's row in any stack.
 
     Args:
         h: K x N channel matrix.
@@ -134,6 +160,32 @@ def glse_convex(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
         PrecodeOutput; x is the best (lowest-objective) iterate seen.
     """
     h, s = _check_instance(h, s)
+    return glse_convex_stack(h[None], s[None], rho, penalty, support,
+                             max_iter=max_iter, tol=tol,
+                             power_cap=power_cap)[0]
+
+
+def glse_convex_stack(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
+                      max_iter=None, tol=DEFAULT_TOL, power_cap=None):
+    """glse_convex on a (B, K, N) stack of channels and a (B, K) data stack.
+
+    Every instance keeps its own step 1/L, momentum, monotone restart,
+    best iterate, plateau test, certificate and iteration count, and the
+    arithmetic of each row is independent of the others: row b of the
+    result equals glse_convex(h[b], s[b], ...) bit for bit, whatever stack
+    it is solved in. Rows leave the stack as they converge. max_iter None
+    means DEFAULT_MAX_ITER, read when called; the other arguments are
+    those of glse_convex.
+
+    Returns:
+        list of B PrecodeOutput, in row order.
+    """
+    h = np.asarray(h, dtype=complex)
+    s = np.asarray(s, dtype=complex)
+    if h.ndim != 3 or s.shape != h.shape[:2]:
+        raise ConfigurationError(
+            f"expected a (B, K, N) channel stack and a (B, K) data stack, "
+            f"got {h.shape} and {s.shape}")
     if penalty.lambda0 != 0:
         raise ConfigurationError("glse_convex requires lambda0 = 0")
     if support.kind not in (FULL, DISK):
@@ -152,56 +204,92 @@ def glse_convex(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
         raise ConfigurationError(
             "a negative lambda2 on the full plane needs a power_cap: the "
             "unconstrained objective is unbounded below")
-    n = h.shape[1]
-    lip = 2.0 * np.linalg.norm(h, 2) ** 2
-    if lip == 0:
-        x = np.zeros(n, dtype=complex)
-        return _output(h, s, rho, penalty, x, 0, True)
-    step = 1.0 / lip
+    if max_iter is None:
+        max_iter = DEFAULT_MAX_ITER
+    b, _, n = h.shape
+    lip = np.array([2.0 * np.linalg.norm(hb, 2) ** 2 for hb in h])
     hs = np.sqrt(rho) * s
-    gram = h.conj().T @ h
-    hts = h.conj().T @ hs
-
-    def grad(v):
-        return 2.0 * (gram @ v - hts)
-
-    x = np.zeros(n, dtype=complex)
+    step = (1.0 / np.where(lip == 0, 1.0, lip))[:, None]
+    gram = np.empty((b, n, n), dtype=complex)
+    hts = np.empty((b, n), dtype=complex)
+    for i, hb in enumerate(h):
+        gram[i] = hb.conj().T @ hb
+        hts[i] = hb.conj().T @ hs[i]
+    x = np.zeros((b, n), dtype=complex)
     y = x.copy()
-    t = 1.0
-    f_best = objective_value(h, s, rho, penalty, x)
+    t = np.ones(b)
+    f_best = _stack_objective(h, hs, penalty, x)
     x_best = x.copy()
-    f_prev = f_best
-    converged = False
+    f_prev = f_best.copy()
+    # Row j of the state is input row rows[j]. A finishing row's slot in
+    # the Gram stack takes the last running row, so that stack is never
+    # re-gathered; the objective is evaluated on the whole channel stack,
+    # in input order (x_all), so that stack is never copied.
+    rows = np.arange(b)
+    x_all = x.copy()
+    outs = [None] * b
+
+    def finish(done, iterations, converged):
+        nonlocal rows, step, hts, x, y, t, f_prev, f_best, x_best
+        for j in done:
+            i = rows[j]
+            outs[i] = _output(h[i], s[i], rho, penalty, x_best[j].copy(),
+                              iterations, converged)
+        order = np.arange(rows.size)
+        top = rows.size
+        for j in sorted(done, reverse=True):
+            top -= 1
+            order[j] = order[top]
+        order = order[:top]
+        for j in np.flatnonzero(order != np.arange(top)):
+            gram[j] = gram[order[j]]
+        rows, step, hts, x, y, t, f_prev, f_best, x_best = (
+            a[order] for a in (rows, step, hts, x, y, t, f_prev, f_best,
+                               x_best))
+
+    def objective(v):
+        if rows.size == b:  # no row has finished: rows is the identity
+            return _stack_objective(h, hs, penalty, v)
+        x_all[rows] = v
+        return _stack_objective(h, hs, penalty, x_all)[rows]
+
+    def advance(v):
+        return _prox_grad_step(gram[:rows.size], hts, v, step, penalty,
+                               support, power_cap)
+
+    finish(np.flatnonzero(lip == 0), 0, True)
     it = 0
     for it in range(1, max_iter + 1):
-        x_new = _capped_prox(penalty, support, y - step * grad(y), step,
-                             power_cap)
-        f_new = objective_value(h, s, rho, penalty, x_new)
-        if f_new > f_prev:
+        if rows.size == 0:
+            break
+        x_new = advance(y)
+        f_new = objective(x_new)
+        restart = np.flatnonzero(f_new > f_prev)
+        if restart.size:
             # monotone restart: drop momentum and step from the last iterate
-            t = 1.0
-            y = x.copy()
-            x_new = _capped_prox(penalty, support, y - step * grad(y),
-                                 step, power_cap)
-            f_new = objective_value(h, s, rho, penalty, x_new)
+            t[restart] = 1.0
+            y[restart] = x[restart]
+            x_new[restart] = advance(y)[restart]
+            f_new[restart] = objective(x_new)[restart]
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        y = x_new + ((t - 1.0) / t_new)[:, None] * (x_new - x)
         x, t = x_new, t_new
-        if f_new < f_best:
-            f_best, x_best = f_new, x_new.copy()
-        if abs(f_prev - f_new) <= tol * max(abs(f_prev), 1e-300):
+        better = f_new < f_best
+        f_best[better] = f_new[better]
+        x_best[better] = x_new[better]
+        plateau = (np.abs(f_prev - f_new)
+                   <= tol * np.maximum(np.abs(f_prev), 1e-300))
+        f_prev = f_new
+        if plateau.any():
             # objective has plateaued; accept only with a certificate that
             # the proximal fixed-point residual is small as well
-            fp = np.linalg.norm(
-                x_new - _capped_prox(penalty, support,
-                                     x_new - step * grad(x_new), step,
-                                     power_cap))
-            if fp <= 1e-7 * (1.0 + np.linalg.norm(x_new)):
-                f_prev = f_new
-                converged = True
-                break
-        f_prev = f_new
-    return _output(h, s, rho, penalty, x_best, it, converged)
+            fp = _row_norms(x_new - advance(x_new))
+            done = np.flatnonzero(
+                plateau & (fp <= 1e-7 * (1.0 + _row_norms(x_new))))
+            if done.size:
+                finish(done, it, True)
+    finish(range(rows.size), it, False)
+    return outs
 
 
 def _stationary_map(h, s, rho, penalty):

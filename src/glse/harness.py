@@ -5,7 +5,10 @@ points (inverse load, activity and power targets, power control). For
 each point the penalty weights are tuned, the asymptotic predictions are
 solved, and optionally a batch of finite-dimension trials is run. Trials
 are deterministic: trial i uses seed base_seed + i, and the reduction is
-ordered, so results are identical across parallelism levels.
+ordered, so results are identical across parallelism levels. The
+proximal-gradient trials of a batch are solved in stacks (pool workers
+take whole stacks), and a trial's result does not depend on the stack it
+is solved in, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import yaml
 from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .finite import (glse_convex, glse_exhaustive_discrete,
+from .finite import (glse_convex_stack, glse_exhaustive_discrete,
                      glse_exhaustive_l0, glse_stationary)
 from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec
 from .replica import (ScenarioSpec, lemma2_bound, random_tas_asymptote,
@@ -29,6 +32,9 @@ from .rmt import ChannelSpec, sample_channel
 from .rsb import solve_rsb1
 
 SPEC_VERSION = "1"
+
+# memory bound of one stack of APG trials (see _stack_size)
+_GRAM_STACK_BYTES = 1 << 20
 
 CSV_COLUMNS = ("alpha_inv", "eta_target", "power_target", "rho", "scenario",
                "lambda", "lambda0", "lambda1", "P", "M", "chi", "p", "D_rs",
@@ -182,7 +188,7 @@ def _stationary_branch(penalty, support):
 
 
 def power_cap_for(penalty, support, power):
-    """Average-power cap that run_trial needs for these weights, or None.
+    """Average-power cap that run_trials needs for these weights, or None.
 
     A full-plane penalty with lambda2 < 0 and lambda1 >= 0 (power target
     above the unconstrained optimum, chi > 0) has no minimiser without the
@@ -195,45 +201,102 @@ def power_cap_for(penalty, support, power):
     return None
 
 
-def run_trial(n, k, rho, penalty, support, seed, power_cap=None):
-    """One finite-dimension trial: sample (H, s), precode, report stats.
+def _stacked(penalty, support):
+    """True when run_trials solves these weights with the stacked APG."""
+    return (support.kind != MPSK_ZERO and penalty.lambda0 == 0
+            and not _stationary_branch(penalty, support))
 
-    Returns (distortion, power, activity). Deterministic in seed. Each
-    tuning branch is checked against the finite program its replica state
-    describes:
+
+def _stack_size(n):
+    """APG instances per stack: the (B, N, N) Gram stack stays near
+    _GRAM_STACK_BYTES (16 instances at N = 64)."""
+    return max(1, _GRAM_STACK_BYTES // (16 * n * n))
+
+
+def _sample_trial(n, k, seed):
+    """The (H, s) instance of trial seed."""
+    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed)).matrix
+    rng = np.random.default_rng([seed, 0x5EED])
+    s = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
+    return h, s
+
+
+def _solve_one(n, k, rho, penalty, support, seed):
+    """One trial on the per-trial solvers (constellation, l0, stationary)."""
+    h, s = _sample_trial(n, k, seed)
+    if support.kind == MPSK_ZERO:
+        return glse_exhaustive_discrete(h, s, rho, penalty.lambda2, support)
+    if penalty.lambda0 != 0:
+        return glse_exhaustive_l0(h, s, rho, penalty)
+    out = glse_stationary(h, s, rho, penalty)
+    if not out.converged:
+        raise ConvergenceError(
+            f"stationary-point solve (seed {seed}) did not converge "
+            f"after {out.iterations} Newton steps",
+            {"stationarity": out.residual})
+    return out
+
+
+def _solve_stack(n, k, rho, penalty, support, seeds, power_cap):
+    """The APG trials of seeds, as one stack."""
+    h = np.empty((len(seeds), k, n), dtype=complex)
+    s = np.empty((len(seeds), k), dtype=complex)
+    for j, seed in enumerate(seeds):
+        h[j], s[j] = _sample_trial(n, k, seed)
+    outs = glse_convex_stack(h, s, rho, penalty, support,
+                             power_cap=power_cap)
+    capped = [seed for seed, out in zip(seeds, outs) if not out.converged]
+    if capped:
+        raise ConvergenceError(
+            f"APG solve (seeds {capped}) hit the iteration cap of "
+            f"{max(out.iterations for out in outs)}")
+    return outs
+
+
+def run_trials(n, k, rho, penalty, support, seeds, power_cap=None):
+    """Finite-dimension trials, one per seed: sample (H, s), precode.
+
+    Returns (distortion, power, activity), three arrays in seed order.
+    Trial seed draws the channel from sample_channel at rng_seed = seed and
+    the data from default_rng([seed, 0x5EED]), so it is deterministic in
+    seed. Each tuning branch is checked against the finite program its
+    replica state describes:
 
     - nonnegative weights: the minimiser (glse_convex, or the exhaustive
       solvers for the constellation and l0 scenarios);
     - full plane with lambda1 < 0 (the continued branch, xi < 0): a
-      stationary point from glse_stationary. A solve that does not
-      converge raises ConvergenceError, and a power_cap is rejected;
+      stationary point from glse_stationary, and a power_cap is rejected;
     - full plane with lambda2 < 0 and lambda1 >= 0 (power target above the
       unconstrained optimum, chi > 0): the minimiser under the power_cap,
       which the caller must pass on to glse_convex (power_cap_for gives
       it).
+
+    APG trials are sampled and solved in stacks of up to _stack_size(n)
+    (glse_convex_stack); a trial's result does not depend on the stack it
+    is solved in, bit for bit. A trial whose solver does not converge
+    raises ConvergenceError naming its seeds.
     """
-    stationary = _stationary_branch(penalty, support)
-    if stationary and power_cap is not None:
+    if _stationary_branch(penalty, support) and power_cap is not None:
         raise ConfigurationError(
             "power_cap does not apply with lambda1 < 0: the trial solves "
             "for the unconstrained stationary point")
-    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed)).matrix
-    rng = np.random.default_rng([seed, 0x5EED])
-    s = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
-    if support.kind == MPSK_ZERO:
-        out = glse_exhaustive_discrete(h, s, rho, penalty.lambda2, support)
-    elif penalty.lambda0 != 0:
-        out = glse_exhaustive_l0(h, s, rho, penalty)
-    elif stationary:
-        out = glse_stationary(h, s, rho, penalty)
-        if not out.converged:
-            raise ConvergenceError(
-                f"stationary-point solve (seed {seed}) did not converge "
-                f"after {out.iterations} Newton steps",
-                {"stationarity": out.residual})
+    seeds = [int(seed) for seed in seeds]
+    if _stacked(penalty, support):
+        size = _stack_size(n)
+        outs = [out for i in range(0, len(seeds), size)
+                for out in _solve_stack(n, k, rho, penalty, support,
+                                        seeds[i:i + size], power_cap)]
     else:
-        out = glse_convex(h, s, rho, penalty, support, power_cap=power_cap)
-    return out.distortion, out.power, out.activity
+        outs = [_solve_one(n, k, rho, penalty, support, seed)
+                for seed in seeds]
+    return tuple(np.array([getattr(out, name) for out in outs])
+                 for name in ("distortion", "power", "activity"))
+
+
+def run_trial(n, k, rho, penalty, support, seed, power_cap=None):
+    """One trial of run_trials: (distortion, power, activity) floats."""
+    return tuple(float(v[0]) for v in run_trials(
+        n, k, rho, penalty, support, [seed], power_cap))
 
 
 def _mc_batch(point, penalty, support, mc, n_workers):
@@ -242,23 +305,23 @@ def _mc_batch(point, penalty, support, mc, n_workers):
     n_channels = int(mc["n_channels"])
     base_seed = int(mc.get("seed", 0))
     cap = power_cap_for(penalty, support, point.power)
-    args = [(n, k, point.rho, penalty, support, base_seed + i, cap)
-            for i in range(n_channels)]
+    size = _stack_size(n) if _stacked(penalty, support) else 1
+    seeds = range(base_seed, base_seed + n_channels)
+    args = [(n, k, point.rho, penalty, support, seeds[i:i + size], cap)
+            for i in range(0, n_channels, size)]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_trial_star, args))
+            results = list(pool.map(_trials_star, args))
     else:
-        results = [_trial_star(a) for a in args]
-    d = np.array([r[0] for r in results])
-    pw = np.array([r[1] for r in results])
-    act = np.array([r[2] for r in results])
+        results = [_trials_star(a) for a in args]
+    d, pw, act = (np.concatenate(col) for col in zip(*results))
     stderr = float(d.std(ddof=1) / np.sqrt(len(d))) if len(d) > 1 else 0.0
     return (float(d.mean()), stderr, float(pw.mean()), float(act.mean()),
             n_channels, base_seed)
 
 
-def _trial_star(args):
-    return run_trial(*args)
+def _trials_star(args):
+    return run_trials(*args)
 
 
 def run_sweep(config: SweepConfig, n_workers=1):

@@ -113,20 +113,27 @@ def scalar_objective(v, s, xi, penalty: PenaltySpec,
     return float(abs(v - s) ** 2 + xi * penalty.value(v))
 
 
+def _any(cond):
+    """True if a scalar condition holds or any entry of an array one does."""
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
 def _effective_threshold(value):
     """Validate that an effective (xi-scaled) sparse weight is nonnegative."""
-    if value < 0:
+    if _any(value < 0):
         raise DomainError(
-            f"effective sparse weight {value} < 0: the scalar problem has "
-            "no thresholding minimizer (check signs of xi and the weights)")
+            f"effective sparse weight {np.min(value)} < 0: the scalar "
+            "problem has no thresholding minimizer (check signs of xi and "
+            "the weights)")
     return value
 
 
 def _shrink_factor(xi, lambda2):
     shrink = 1.0 + xi * lambda2
-    if shrink <= 0:
+    if _any(shrink <= 0):
         raise DomainError(
-            f"1 + xi*lambda2 = {shrink} <= 0: scalar problem not coercive")
+            f"1 + xi*lambda2 = {np.min(shrink)} <= 0: scalar problem not "
+            "coercive")
     return shrink
 
 
@@ -146,7 +153,7 @@ def _unit(s, mag):
 
 def _decouple(s, xi, penalty, support):
     """The scalar precoder on a complex array s (see decouple)."""
-    if xi == 0:
+    if _any(xi == 0):
         raise ConfigurationError("xi must be nonzero")
     lam, lam0, lam1 = penalty.lambda2, penalty.lambda0, penalty.lambda1
     if support.kind in (FULL, DISK):
@@ -248,13 +255,15 @@ def prox(penalty: PenaltySpec, support: SupportSpec, w, step):
     The scalar precoder at xi = 2*step, for the convex penalties
     (lambda0 = 0) on the full plane or the disk. Weights that make the
     subproblem nonconvex (1 + 2*step*lambda2 <= 0 or lambda1 < 0) raise
-    DomainError. Accepts scalars or arrays; phase of w is preserved.
+    DomainError. Accepts scalars or arrays; step may be an array that
+    broadcasts against w (one step per row of a stack). The phase of w is
+    preserved.
     """
     if penalty.lambda0 != 0:
         raise ConfigurationError("prox requires lambda0 = 0 (convex penalty)")
     if support.kind not in (FULL, DISK):
         raise ConfigurationError("prox covers full-plane and disk supports")
-    if not step > 0:
+    if not np.all(step > 0):
         raise ConfigurationError("step must be positive")
     out = _decouple(np.asarray(w, dtype=complex), 2.0 * step, penalty,
                     support)

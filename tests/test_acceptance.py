@@ -16,7 +16,7 @@ import pytest
 
 from glse.cli import main as cli_main
 from glse.finite import glse_convex, rzf
-from glse.harness import fit_equivalent_eta, power_cap_for, run_trial
+from glse.harness import fit_equivalent_eta, power_cap_for, run_trials
 from glse.penalties import (PenaltySpec, SupportSpec, decouple, decouple_grid,
                             scalar_objective)
 from glse.replica import (ScenarioSpec, heuristic_rate, lemma2_bound,
@@ -72,12 +72,12 @@ def test_criterion_02_replica_vs_monte_carlo(capsys):
             pen, sol = tune(spec, 0.5, eta, sparsity="l1")
             # a negative quadratic weight with a nonnegative l1 weight
             # (chi > 0) needs the power budget as an explicit constraint;
-            # with lambda1 < 0 (the continued branch, xi < 0) run_trial
+            # with lambda1 < 0 (the continued branch, xi < 0) run_trials
             # solves for the stationary point, which takes no cap
             cap = power_cap_for(pen, FULL, 0.5)
             k = int(round(64 / ai))
-            ds = [run_trial(64, k, 1.0, pen, FULL, 1234 + t,
-                            power_cap=cap)[0] for t in range(200)]
+            ds, _, _ = run_trials(64, k, 1.0, pen, FULL, range(1234, 1434),
+                                  power_cap=cap)
             gaps[(eta, ai)] = 10 * np.log10(np.mean(ds) / sol.distortion)
     elapsed = time.time() - t0
     bad = {pt: g for pt, g in gaps.items() if abs(g) >= 0.5}
@@ -253,10 +253,10 @@ def test_criterion_08_spectrum_check(capsys):
 def test_criterion_09_tuning_round_trip(capsys):
     spec = ScenarioSpec(PenaltySpec(), FULL, 0.5, 1.0)
     pen, sol = tune(spec, 0.5, 0.7, sparsity="l1")
-    trials = [run_trial(64, 32, 1.0, pen, FULL, 1234 + t)
-              for t in range(200)]
-    mc_p = np.mean([t[1] for t in trials])
-    mc_eta = np.mean([t[2] for t in trials])
+    _, powers, activities = run_trials(64, 32, 1.0, pen, FULL,
+                                       range(1234, 1434))
+    mc_p = np.mean(powers)
+    mc_eta = np.mean(activities)
     ok = abs(mc_p - 0.5) / 0.5 < 0.05 and abs(mc_eta - 0.7) / 0.7 < 0.05
     _report(capsys, 9, "tuning round-trip", ok,
             f"(MC power {mc_p:.4f} vs 0.5, activity {mc_eta:.4f} vs 0.7)")

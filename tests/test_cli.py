@@ -1,8 +1,25 @@
 import json
+import os
 
 import pytest
 
+from glse import finite
 from glse.cli import main
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "reference")
+
+
+def _full_l1_config(tmp_path, grid, mc):
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(
+        "spec_version: '1'\n"
+        "scenario: {kind: full, sparsity: l1}\n"
+        "grid:\n" + "".join(
+            f"  - {{alpha_inv: {a}, eta: {e}, power: {p}}}\n"
+            for a, e, p in grid)
+        + f"mc: {mc}\n")
+    return cfg
 
 
 def test_replica_command(capsys):
@@ -96,3 +113,42 @@ def test_strict_flag_on_solver_failure(tmp_path):
                  "--output", str(out)]) == 0
     assert main(["--strict", "sweep", "--config", str(cfg),
                  "--output", str(out)]) == 3
+
+
+def test_sweep_matches_warmup_reference_bytes(tmp_path):
+    # the benchmark's warm-up sweep; its reference CSV pins the Monte Carlo
+    # arithmetic bit for bit
+    cfg = _full_l1_config(tmp_path, [(2.0, 0.7, 0.5), (4.0, 0.5, 0.5)],
+                          "{n: 64, n_channels: 8, seed: 1234}")
+    out = tmp_path / "out.csv"
+    assert main(["--strict", "sweep", "--config", str(cfg),
+                 "--output", str(out)]) == 0
+    with open(os.path.join(REFERENCE, "mc_sweep_warmup_n8.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_sweep_bytes_independent_of_workers_and_stacks(tmp_path):
+    # 20 channels at N = 64 split into stacks of 16 and 4; pool workers
+    # take whole stacks
+    cfg = _full_l1_config(tmp_path, [(2.0, 0.7, 0.5)],
+                          "{n: 64, n_channels: 20, seed: 9}")
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}.csv"
+        assert main(["sweep", "--config", str(cfg), "--output", str(out),
+                     "--workers", str(workers)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_strict_sweep_exits_3_on_apg_iteration_cap(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(finite, "DEFAULT_MAX_ITER", 1)
+    cfg = _full_l1_config(tmp_path, [(2.0, 0.7, 0.5)],
+                          "{n: 16, n_channels: 3, seed: 3}")
+    out = tmp_path / "out.csv"
+    assert main(["--strict", "sweep", "--config", str(cfg),
+                 "--output", str(out)]) == 3
+    assert "ConvergenceError: APG solve (seeds [3, 4, 5])" in (
+        capsys.readouterr().err)
+    assert out.read_text().splitlines()[1].split(",")[18] == ""  # mc_D_mean

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from glse.errors import ConfigurationError
 from glse import finite
-from glse.finite import (DEFAULT_TOL, glse_convex, glse_exhaustive_discrete,
-                         glse_exhaustive_l0, glse_stationary, objective_value,
+from glse.finite import (DEFAULT_TOL, glse_convex, glse_convex_stack,
+                         glse_exhaustive_discrete, glse_exhaustive_l0,
+                         glse_stationary, objective_value,
                          optimality_residual, rzf, tas_random, tas_strongest)
-from glse.penalties import PenaltySpec, SupportSpec
+from glse.penalties import PenaltySpec, SupportSpec, prox
 from glse.replica import ScenarioSpec, tune
 from glse.rmt import ChannelSpec, sample_channel
 
@@ -84,6 +85,111 @@ def test_negative_weights_need_power_cap():
         glse_convex(h, s, 1.0, pen, full)
     out = glse_convex(h, s, 1.0, pen, full, power_cap=0.5)
     assert out.power <= 0.5 + 1e-12
+
+
+def _reference_apg(h, s, rho, penalty, support, max_iter, power_cap):
+    """The one-instance APG loop that glse_convex_stack replaced, kept as
+    the reference its rows must equal bit for bit.
+
+    Returns (x, iterations, converged, restarts).
+    """
+    n = h.shape[1]
+    lip = 2.0 * np.linalg.norm(h, 2) ** 2
+    if lip == 0:
+        return np.zeros(n, dtype=complex), 0, True, 0
+    step = 1.0 / lip
+    gram = h.conj().T @ h
+    hts = h.conj().T @ (np.sqrt(rho) * s)
+
+    def advance(v):
+        w = prox(penalty, support, v - step * (2.0 * (gram @ v - hts)), step)
+        if power_cap is not None:
+            budget = power_cap * w.size
+            nrm2 = float(np.vdot(w, w).real)
+            if nrm2 > budget:
+                w = w * np.sqrt(budget / nrm2)
+        return w
+
+    x = np.zeros(n, dtype=complex)
+    y = x.copy()
+    t = 1.0
+    f_best = f_prev = objective_value(h, s, rho, penalty, x)
+    x_best = x.copy()
+    restarts = 0
+    for it in range(1, max_iter + 1):
+        x_new = advance(y)
+        f_new = objective_value(h, s, rho, penalty, x_new)
+        if f_new > f_prev:
+            restarts += 1
+            t = 1.0
+            y = x.copy()
+            x_new = advance(y)
+            f_new = objective_value(h, s, rho, penalty, x_new)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+        if f_new < f_best:
+            f_best, x_best = f_new, x_new.copy()
+        if abs(f_prev - f_new) <= DEFAULT_TOL * max(abs(f_prev), 1e-300):
+            fp = np.linalg.norm(x_new - advance(x_new))
+            if fp <= 1e-7 * (1.0 + np.linalg.norm(x_new)):
+                return x_best, it, True, restarts
+        f_prev = f_new
+    return x_best, max_iter, False, restarts
+
+
+# (penalty, support, power_cap, max_iter) of each stack; every stack also
+# holds an all-zero channel (Lipschitz constant 0)
+STACK_CASES = {
+    "full_l1": (PenaltySpec(lambda2=0.05, lambda1=0.3),
+                SupportSpec.full_complex(), None, finite.DEFAULT_MAX_ITER),
+    "disk": (PenaltySpec(lambda2=0.1, lambda1=0.2), SupportSpec.disk(0.3),
+             None, finite.DEFAULT_MAX_ITER),
+    "power_cap": (PenaltySpec(lambda2=-0.05, lambda1=0.1),
+                  SupportSpec.full_complex(), 0.5, finite.DEFAULT_MAX_ITER),
+    "max_iter_1": (PenaltySpec(lambda2=0.05, lambda1=0.3),
+                   SupportSpec.full_complex(), None, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_convex_stack_equals_single_solves(case):
+    pen, sup, cap, max_iter = STACK_CASES[case]
+    pairs = [_trial_instance(16, 8, seed) for seed in range(6)]
+    h = np.stack([p[0] for p in pairs])
+    s = np.stack([p[1] for p in pairs])
+    h[2] = 0.0
+    stacked = glse_convex_stack(h, s, 1.0, pen, sup, max_iter=max_iter,
+                                power_cap=cap)
+    restarts = []
+    for row, out in enumerate(stacked):
+        single = glse_convex(h[row], s[row], 1.0, pen, sup,
+                             max_iter=max_iter, power_cap=cap)
+        x, iters, converged, n_restarts = _reference_apg(
+            h[row], s[row], 1.0, pen, sup, max_iter, cap)
+        restarts.append(n_restarts)
+        for got in (out, single):
+            np.testing.assert_array_equal(got.x, x)
+            assert (got.iterations, got.converged) == (iters, converged)
+    iters = [out.iterations for out in stacked]
+    assert (iters[2], stacked[2].converged) == (0, True)
+    if max_iter == 1:
+        assert set(iters) == {0, 1}
+    else:
+        assert all(out.converged for out in stacked)
+        assert len(set(iters)) > 2 and max(restarts) > 0
+    if cap is not None:
+        # the ball is ||x||^2 <= N * cap, N = 16, whatever the stack size
+        assert max(out.power for out in stacked) == pytest.approx(cap)
+
+
+def test_convex_stack_rejects_bad_shapes():
+    h, s = _instance(8, 4, 17)
+    pen, sup = PenaltySpec(lambda1=0.1), SupportSpec.full_complex()
+    with pytest.raises(ConfigurationError):
+        glse_convex_stack(h, s, 1.0, pen, sup)
+    with pytest.raises(ConfigurationError):
+        glse_convex_stack(h[None], s[None, :-1], 1.0, pen, sup)
 
 
 def test_stationary_without_l1_is_rzf():

@@ -8,7 +8,7 @@ from glse.errors import ConfigurationError, ConvergenceError
 from glse.harness import (CSV_COLUMNS, ExperimentRecord, GridPoint,
                           SweepConfig, emit_csv, fit_equivalent_eta,
                           load_sweep_config, power_cap_for, read_csv,
-                          run_sweep, run_trial, to_db)
+                          run_sweep, run_trial, run_trials, to_db)
 from glse.penalties import PenaltySpec, SupportSpec
 from glse.replica import ScenarioSpec, random_tas_asymptote, tune
 
@@ -77,6 +77,26 @@ def test_run_trial_deterministic():
     assert a == b
     c = run_trial(16, 8, 1.0, pen, SupportSpec.full_complex(), seed=4)
     assert a != c
+
+
+def test_run_trials_independent_of_stacking():
+    # 18 trials at N = 64 make one full stack and one of 2; each must equal
+    # its own one-trial solve bit for bit
+    pen = PenaltySpec(lambda2=0.05, lambda1=0.3)
+    full = SupportSpec.full_complex()
+    assert harness._stack_size(64) == 16
+    stats = run_trials(64, 32, 1.0, pen, full, range(40, 58))
+    for i, seed in enumerate(range(40, 58)):
+        assert run_trial(64, 32, 1.0, pen, full, seed) == tuple(
+            float(col[i]) for col in stats)
+
+
+def test_apg_iteration_cap_raises(monkeypatch):
+    # the sweep row and --strict exit code: test_cli.py
+    monkeypatch.setattr(finite, "DEFAULT_MAX_ITER", 1)
+    pen = PenaltySpec(lambda2=0.2, lambda1=0.1)
+    with pytest.raises(ConvergenceError, match=r"seeds \[3, 4\]"):
+        run_trials(16, 8, 1.0, pen, SupportSpec.full_complex(), [3, 4])
 
 
 def _continued_branch_weights():
