@@ -14,7 +14,6 @@ is solved in, bit for bit.
 from __future__ import annotations
 
 import csv
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -153,9 +152,7 @@ class ExperimentRecord:
     mc_eta: float | None = None
     n_trials: int | None = None
     seed: int | None = None
-    replica_residual: float | None = None
     error: str | None = None
-    elapsed: float = 0.0
 
 
 def _support_for(scenario, point):
@@ -311,17 +308,13 @@ def _mc_batch(point, penalty, support, mc, n_workers):
             for i in range(0, n_channels, size)]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_trials_star, args))
+            results = list(pool.map(run_trials, *zip(*args)))
     else:
-        results = [_trials_star(a) for a in args]
+        results = [run_trials(*a) for a in args]
     d, pw, act = (np.concatenate(col) for col in zip(*results))
     stderr = float(d.std(ddof=1) / np.sqrt(len(d))) if len(d) > 1 else 0.0
     return (float(d.mean()), stderr, float(pw.mean()), float(act.mean()),
             n_channels, base_seed)
-
-
-def _trials_star(args):
-    return run_trials(*args)
 
 
 def run_sweep(config: SweepConfig, n_workers=1):
@@ -332,7 +325,6 @@ def run_sweep(config: SweepConfig, n_workers=1):
     """
     records = []
     for point in config.grid:
-        t0 = time.time()
         support = None
         try:
             support = _support_for(config.scenario, point)
@@ -352,7 +344,6 @@ def run_sweep(config: SweepConfig, n_workers=1):
             rec.chi, rec.p = sol.chi, sol.p
             rec.d_rs = sol.distortion
             rec.eta_replica = sol.eta
-            rec.replica_residual = max(sol.residuals.values())
             if point.sigma2 is not None:
                 rec.rate_lb = rate_lower_bound(sol.rho, sol.distortion,
                                                point.sigma2)
@@ -375,7 +366,6 @@ def run_sweep(config: SweepConfig, n_workers=1):
                     power_target=point.power, rho=point.rho,
                     scenario=str(config.scenario.get("kind")))
             rec.error = f"{type(exc).__name__}: {exc}"
-        rec.elapsed = time.time() - t0
         records.append(rec)
     return records
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq, root
-from scipy.special import erfc, roots_legendre
+from scipy.special import erfc, lambertw, roots_legendre
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import (DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec,
@@ -366,30 +366,48 @@ def generic_moments(penalty, support, xi, rho_rs):
 # fixed-point driver
 # ---------------------------------------------------------------------------
 
+def _damped_fixed_point(step, x0, tol, max_iter, bound):
+    """Damped Picard iteration x <- max(x + _DAMPING*(x_new - x), 0).
+
+    step(x) maps the state tuple to (x_new, info), where info is whatever
+    the caller needs from the last evaluation; a DomainError from step ends
+    the iteration. The state must stay finite and each entry at most its
+    bound. Converges when every residual |x_new - x| is below tol.
+
+    Returns (x, residuals, info, converged): the last state, the residuals
+    and info of the last completed step (inf and None before the first),
+    and whether it converged within max_iter steps.
+    """
+    x = tuple(float(v) for v in x0)
+    residuals, info = (np.inf,) * len(x), None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_iter):
+            if not all(np.isfinite(v) and v <= b for v, b in zip(x, bound)):
+                return x, residuals, info, False
+            try:
+                x_new, info = step(x)
+            except DomainError:
+                return x, residuals, info, False
+            if not all(np.isfinite(v) for v in x_new):
+                return x, residuals, info, False
+            residuals = tuple(abs(n - v) for n, v in zip(x_new, x))
+            x = tuple(max(v + _DAMPING * (n - v), 0.0)
+                      for n, v in zip(x_new, x))
+            if max(residuals) < tol:
+                return x, residuals, info, True
+    return x, residuals, info, False
+
+
 def _rs_fixed_point(spec, moments_fn, chi0, p0):
     """Damped iteration on (chi, p). Returns (chi, p, residuals, converged)."""
-    chi, p = float(chi0), float(p0)
-    residuals = {"chi": np.inf, "p": np.inf}
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_MAX_ITER):
-            if not (np.isfinite(chi) and np.isfinite(p)) or chi > 1e12 or p > 1e12:
-                return chi, p, residuals, False
-            try:
-                xi, rho_rs = _rs_state(spec, chi, p)
-                power, cross, _ = moments_fn(spec.penalty, spec.support, xi,
-                                             rho_rs)
-            except DomainError:
-                return chi, p, residuals, False
-            chi_new = xi * cross / rho_rs
-            p_new = power
-            if not (np.isfinite(chi_new) and np.isfinite(p_new)):
-                return chi, p, residuals, False
-            residuals = {"chi": abs(chi_new - chi), "p": abs(p_new - p)}
-            chi = max(chi + _DAMPING * (chi_new - chi), 0.0)
-            p = max(p + _DAMPING * (p_new - p), 0.0)
-            if max(residuals.values()) < _TOL:
-                return chi, p, residuals, True
-    return chi, p, residuals, False
+    def step(x):
+        xi, rho_rs = _rs_state(spec, *x)
+        power, cross, _ = moments_fn(spec.penalty, spec.support, xi, rho_rs)
+        return (xi * cross / rho_rs, power), None
+
+    (chi, p), res, _, ok = _damped_fixed_point(step, (chi0, p0), _TOL,
+                                               _MAX_ITER, (1e12, 1e12))
+    return chi, p, dict(zip(("chi", "p"), res)), ok
 
 
 def _solve_rs(spec, moments_fn, inits):
@@ -676,8 +694,9 @@ def heuristic_rate(rho, interference, distortion):
 def lemma2_bound(load, rho, eta, peak_power, order):
     """Rigorous asymptotic distortion lower bound for constellation supports.
 
-    Solves r - log r = 1 + log(1 + M)/alpha for the root in (0, 1] by
-    bisection and returns D = r * (rho + eta * P).
+    Solves r - log r = 1 + log(1 + M)/alpha for the root in (0, 1], which
+    is r = -W0(-exp(-(1 + log(1 + M)/alpha))) with W0 the principal branch
+    of the Lambert W function, and returns D = r * (rho + eta * P).
     """
     if not (load > 0 and rho > 0 and peak_power > 0):
         raise ConfigurationError("load, rho and peak_power must be positive")
@@ -686,22 +705,12 @@ def lemma2_bound(load, rho, eta, peak_power, order):
     if order < 1:
         raise ConfigurationError("order must be >= 1")
     rhs = 1.0 + np.log(1.0 + order) / load
-
-    def f(r):
-        return r - np.log(r) - rhs
-
-    lo, hi = 1e-300, 1.0
-    if f(hi) >= 0:  # rhs == 1 exactly (alpha -> infinity limit)
+    # rhs == 1 exactly (alpha -> infinity limit): r = 1, where lambertw
+    # returns nan at its branch point -1/e
+    if rhs <= 1.0:
         return rho + eta * peak_power
-    for _ in range(2000):
-        mid = np.sqrt(lo * hi)  # geometric bisection for the log scale
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi) * (rho + eta * peak_power)
+    r = -lambertw(-np.exp(-rhs)).real
+    return r * (rho + eta * peak_power)
 
 
 def random_tas_asymptote(load, eta, target_power, rho,

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, ConvergenceError, DomainError
 
 UNIT_ATOMS = ((1.0, 1.0),)
+_STIELTJES_TOL = 1e-13
+_STIELTJES_MAX_ITER = 10_000
 
 
 def _validate_atoms(atoms):
@@ -141,12 +143,14 @@ def empirical_stieltjes(sample: ChannelSample, s: complex) -> complex:
     return complex(np.mean(1.0 / (lam - s)))
 
 
-def limiting_stieltjes(load, pathloss_atoms, s, tol=1e-13, max_iter=10000):
+def limiting_stieltjes(load, pathloss_atoms, s):
     """Limiting Stieltjes transform implied by the atom R-transform.
 
     Solves s = R(-g) - 1/g for g with Im(g) > 0 when Im(s) > 0, via the
     damped fixed point g = 1/(R(-g) - s). For the unit atom the solution
-    is the Marchenko-Pastur transform with ratio alpha.
+    is the Marchenko-Pastur transform with ratio alpha. Raises
+    ConvergenceError if the step does not fall below _STIELTJES_TOL within
+    _STIELTJES_MAX_ITER iterations.
     """
     if np.imag(s) == 0:
         raise DomainError("s must have nonzero imaginary part")
@@ -158,10 +162,12 @@ def limiting_stieltjes(load, pathloss_atoms, s, tol=1e-13, max_iter=10000):
         return load * np.sum(probs * gains / (1.0 + gains * g))
 
     g = -1.0 / s
-    for _ in range(max_iter):
+    for _ in range(_STIELTJES_MAX_ITER):
         g_new = 1.0 / (r_neg(g) - s)
         step = g_new - g
         g = g + 0.5 * step
-        if abs(step) < tol:
+        if abs(step) < _STIELTJES_TOL:
             return complex(g)
-    return complex(g)
+    raise ConvergenceError(
+        f"limiting Stieltjes transform at s = {s} did not converge after "
+        f"{_STIELTJES_MAX_ITER} iterations", {"step": abs(step)})

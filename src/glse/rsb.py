@@ -23,8 +23,9 @@ expressions that stay accurate in log space even for large tilts. The
 outer integral is then smooth and handled by composite Gauss-Legendre
 panels, narrowed to the tilt's own scale where a large tilt makes the
 inner mass switch regions within a small range of the outer value. Larger
-constellations fall back to a tensor Gauss-Hermite grid, which is
-correspondingly coarser near the decision thresholds.
+constellations and constant envelope have no accurate tilted moments
+here, so their broken solve is refused; the degenerate c = 0 solve needs
+no tilt and covers every constellation.
 """
 
 from __future__ import annotations
@@ -32,20 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .penalties import CONST_ENVELOPE, MPSK_ZERO, decouple
-from .replica import (ScenarioSpec, _panel_edges, _w, _w_prime,
-                      rs_distortion, scenario_moments, solve_rs_scenario)
+from .penalties import CONST_ENVELOPE, MPSK_ZERO
+from .replica import (ScenarioSpec, _damped_fixed_point, _panel_edges, _w,
+                      _w_prime, rs_distortion, scenario_moments,
+                      solve_rs_scenario)
 from .rmt import _validate_atoms
 
-_DAMPING = 0.5
 _TOL = 1e-9
 _MAX_ITER = 4000
-_GRID_ORDER = 24  # Gauss-Hermite nodes per real axis of the tensor grid
 _LOG_2PI = np.log(2.0 * np.pi)
 # Above this tilt slope times Gaussian scale, a * max(s0, sqrt(v)), the
 # binary outer panels narrow to the tilt's scale 1/a; below it the panels at
@@ -78,12 +77,6 @@ def _r_integral(load, atoms, chi, chi_tilde):
         if a > 0:
             total += prob * np.log((1.0 + a * chi_tilde) / (1.0 + a * chi))
     return load * total
-
-
-def _gauss_axes(order):
-    """Nodes/weights for a N(0, 1/2) component (complex std Gaussian)."""
-    t, w = hermgauss(order)
-    return t, w / np.sqrt(np.pi)
 
 
 _GL16 = leggauss(16)
@@ -193,56 +186,6 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
 
 
 # ---------------------------------------------------------------------------
-# tensor-grid moments for larger constellations
-# ---------------------------------------------------------------------------
-
-class _QuadGrid:
-    """Tensor Gauss-Hermite grid over (s_rs, s1), four real axes.
-
-    outer and inner are the node counts per real axis of s_rs and of s1.
-    """
-
-    def __init__(self, outer=_GRID_ORDER, inner=_GRID_ORDER):
-        t0, w0 = _gauss_axes(outer)
-        t1, w1 = _gauss_axes(inner)
-        s0 = t0[:, None] + 1j * t0[None, :]
-        s1 = t1[:, None] + 1j * t1[None, :]
-        self.s0 = s0[:, :, None, None]
-        self.s1 = s1[None, None, :, :]
-        self.w_outer = w0[:, None] * w0[None, :]
-        self.w_inner = (w1[:, None] * w1[None, :])[None, None, :, :]
-
-
-def _grid_moments(grid, penalty, support, xi, rho_rs, rho1, mu):
-    """Tilted moments (E|x|^2, E Re{x s_rs*}, E Re{x s1*}, eta, E log Z)."""
-    s_rs = np.sqrt(rho_rs) * grid.s0
-    s1 = np.sqrt(max(rho1, 0.0)) * grid.s1
-    s_hat = s_rs + s1
-    x = decouple(s_hat, xi, penalty, support)
-    # min objective minus |s_hat|^2 (0 for x = 0): the tilt exponent
-    delta = (np.abs(x) ** 2 * (1.0 + xi * penalty.lambda2)
-             - 2.0 * np.real(np.conj(x) * s_hat))
-    log_lam = -(mu / xi) * delta
-    if rho1 > 0:
-        shift = np.max(log_lam, axis=(2, 3), keepdims=True)
-    else:
-        shift = np.zeros_like(log_lam[:, :, :1, :1])
-    lam = np.exp(log_lam - shift)
-    z = np.sum(grid.w_inner * lam, axis=(2, 3))
-
-    def tilted(f):
-        num = np.sum(grid.w_inner * lam * f, axis=(2, 3))
-        return float(np.sum(grid.w_outer * num / z))
-
-    m_pc = tilted(np.abs(x) ** 2)
-    m0 = tilted(np.real(x * np.conj(s_rs)))
-    m1 = tilted(np.real(x * np.conj(s1)))
-    eta = tilted((np.abs(x) > 0).astype(float))
-    log_z = float(np.sum(grid.w_outer * (np.log(z) + shift[:, :, 0, 0])))
-    return m_pc, m0, m1, eta, log_z
-
-
-# ---------------------------------------------------------------------------
 # fixed-point drivers
 # ---------------------------------------------------------------------------
 
@@ -281,57 +224,42 @@ def _mu_residual(spec, mu, state):
     return mu**2 * p * rho1 / xi**2 + mu * c / xi - integral - log_z
 
 
-def _inner_fixed_point(spec, grid, mu, chi0, p0, c0):
+def _inner_fixed_point(spec, mu, chi0, p0, c0):
     """Damped (chi, p, c) iteration at fixed mu, or None if it fails.
 
-    grid is the tensor grid for the tilted moments, or None for the binary
-    constellation (closed-form inner integrals). With rho1 = 0 the tilt is
-    1 and the analytic single-Gaussian moments apply.
+    The tilted moments are the binary constellation's closed-form inner
+    integrals; with rho1 = 0 the tilt is 1 and the analytic single-Gaussian
+    moments apply.
     """
     penalty, support = spec.penalty, spec.support
-    chi, p, c = float(chi0), float(p0), float(c0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_MAX_ITER):
-            if not all(np.isfinite(v) for v in (chi, p, c)) or chi > 1e9 or p > 1e9:
-                return None
-            try:
-                xi, rho_rs, rho1, chi_tilde = _rsb_state(spec, chi, p, mu, c)
-                if rho1 <= 0:
-                    # scenario_moments does not check coercivity itself
-                    if 1.0 + xi * penalty.lambda2 <= 0:
-                        raise DomainError("scalar problem not coercive")
-                    m_pc, m0, eta = scenario_moments(penalty, support, xi,
-                                                     rho_rs)
-                    m1 = log_z = 0.0
-                elif grid is None:
-                    m_pc, m0, m1, eta, log_z = _binary_moments(
-                        penalty, support, xi, rho_rs, rho1, mu)
-                else:
-                    m_pc, m0, m1, eta, log_z = _grid_moments(
-                        grid, penalty, support, xi, rho_rs, rho1, mu)
-            except DomainError:
-                return None
-            chi_tilde_new = xi * m0 / rho_rs
-            if rho1 > 0:
-                p_new = (xi * m1 / rho1 - chi_tilde) / mu
-            else:
-                p_new = m_pc - c
-            c_new = m_pc - p_new
-            chi_new = chi_tilde_new - mu * c_new
-            if not all(np.isfinite(v) for v in (chi_new, p_new, c_new)):
-                return None
-            res = {"chi": abs(chi_new - chi), "p": abs(p_new - p),
-                   "c": abs(c_new - c)}
-            chi = max(chi + _DAMPING * (chi_new - chi), 0.0)
-            p = max(p + _DAMPING * (p_new - p), 0.0)
-            c = max(c + _DAMPING * (c_new - c), 0.0)
-            if max(res.values()) < _TOL:
-                return (chi, p, c, xi, rho_rs, rho1, chi_tilde, eta,
-                        log_z, res)
-    return None
+
+    def step(x):
+        chi, p, c = x
+        xi, rho_rs, rho1, chi_tilde = _rsb_state(spec, chi, p, mu, c)
+        if rho1 <= 0:
+            # scenario_moments does not check coercivity itself
+            if 1.0 + xi * penalty.lambda2 <= 0:
+                raise DomainError("scalar problem not coercive")
+            m_pc, m0, eta = scenario_moments(penalty, support, xi, rho_rs)
+            log_z = 0.0
+            p_new = m_pc - c
+        else:
+            m_pc, m0, m1, eta, log_z = _binary_moments(
+                penalty, support, xi, rho_rs, rho1, mu)
+            p_new = (xi * m1 / rho1 - chi_tilde) / mu
+        c_new = m_pc - p_new
+        chi_new = xi * m0 / rho_rs - mu * c_new
+        return ((chi_new, p_new, c_new),
+                (xi, rho_rs, rho1, chi_tilde, eta, log_z))
+
+    x, res, info, ok = _damped_fixed_point(
+        step, (chi0, p0, c0), _TOL, _MAX_ITER, (1e9, 1e9, np.inf))
+    if not ok:
+        return None
+    return x + info + (dict(zip(("chi", "p", "c"), res)),)
 
 
-def _best_of_starts(spec, grid, mu, starts, broken):
+def _best_of_starts(spec, mu, starts, broken):
     """Lowest-distortion inner fixed point over the starts (chi0, p0, c0).
 
     With broken set, fixed points that collapse to c = 0 are skipped.
@@ -340,7 +268,7 @@ def _best_of_starts(spec, grid, mu, starts, broken):
     """
     best, collapsed = None, False
     for chi0, p0, c0 in starts:
-        out = _inner_fixed_point(spec, grid, mu, chi0, p0, c0)
+        out = _inner_fixed_point(spec, mu, chi0, p0, c0)
         if out is None:
             continue
         chi, p, c = out[:3]
@@ -362,7 +290,7 @@ def _solution(spec, mu, state, extra_residuals=None):
                        rho=spec.rho)
 
 
-def _forced_rs(spec, grid):
+def _forced_rs(spec):
     """Degenerate path c = 0, run through the broken-state machinery.
 
     With c = 0 the inner variance vanishes, the tilt weight is identically
@@ -372,7 +300,7 @@ def _forced_rs(spec, grid):
     """
     starts = ((0.5, 0.5 * spec.rho, 0.0), (1.0, spec.rho, 0.0),
               (2.0, 2.0 * spec.rho, 0.0), (5.0, spec.rho, 0.0))
-    best, _ = _best_of_starts(spec, grid, 1.0, starts, broken=False)
+    best, _ = _best_of_starts(spec, 1.0, starts, broken=False)
     if best is None:
         raise ConvergenceError("degenerate fixed point did not converge", {})
     return _solution(spec, 1.0, best)
@@ -383,9 +311,11 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
     """One-step broken fixed point for constellation supports.
 
     Solves the saddle-point system in the one form described in the module
-    docstring. The binary constellation uses closed-form inner integrals
-    and adaptive outer quadrature; larger constellations and constant
-    envelope use a 24-node Gauss-Hermite grid per real axis.
+    docstring. The broken solve covers the binary constellation, with
+    closed-form inner integrals and adaptive outer quadrature; it raises
+    ConfigurationError for larger constellations and constant envelope.
+    The degenerate solve (force_c_zero) covers every constellation and
+    constant envelope.
 
     Args:
         spec: scenario; support must be the zero-extended constellation or
@@ -408,10 +338,13 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
         raise ConfigurationError(
             "constellation scenarios cover the quadratic penalty only")
 
-    # the binary integrands depend on the real axes only
-    grid = None if spec.support.order == 2 else _QuadGrid()
     if force_c_zero:
-        return _forced_rs(spec, grid)
+        return _forced_rs(spec)
+    if spec.support.kind != MPSK_ZERO or spec.support.order != 2:
+        raise ConfigurationError(
+            "one-step broken solver covers the binary constellation; larger "
+            "constellations and constant envelope have only the degenerate "
+            "solve (force_c_zero)")
 
     rs = solve_rs_scenario(spec)
     starts = tuple((rs.chi, rs.p, f * max(rs.p, 0.1))
@@ -421,7 +354,7 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
     def converge_at(mu):
         """Best nondegenerate inner fixed point at this mu, or None."""
         nonlocal saw_degenerate
-        best, collapsed = _best_of_starts(spec, grid, mu, starts, broken=True)
+        best, collapsed = _best_of_starts(spec, mu, starts, broken=True)
         saw_degenerate |= collapsed
         return best
 
@@ -441,7 +374,7 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
             break
     if bracket is None:
         if not states and saw_degenerate:
-            return _forced_rs(spec, grid)
+            return _forced_rs(spec)
         raise ConvergenceError(
             "no root of the mu equation in the bracket; widen mu_bracket",
             {"mu_residuals": {float(k): float(values[k]) for k in keys}})

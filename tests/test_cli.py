@@ -99,6 +99,14 @@ def test_configuration_error_exit_code(capsys):
     assert rc == 2
 
 
+def test_broken_solve_refuses_qpsk(capsys):
+    rc = main(["replica", "--kind", "mpsk_zero", "--order", "4",
+               "--peak-power", "2.5", "--alpha-inv", "2", "--lambda2", "0.3",
+               "--rsb"])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_strict_flag_on_solver_failure(tmp_path):
     # activity target unreachable for the constellation support: the tune
     # step fails per point; strict sweep surfaces it via exit code 3

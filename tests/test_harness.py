@@ -181,6 +181,23 @@ def test_run_sweep_survives_per_point_failure():
     assert records[0].d_rs is None
 
 
+@pytest.mark.parametrize("rsb", [True, False])
+def test_qpsk_sweep_row_without_broken_solve(rsb):
+    # the one-step broken solve covers BPSK only: a QPSK row with the
+    # default rsb records the refusal and keeps its symmetric results
+    grid = (GridPoint(alpha_inv=2.5, eta=0.4, power=1.0),)
+    scenario = {"kind": "mpsk_zero", "order": 4, "peak_power": 2.5}
+    if not rsb:
+        scenario["rsb"] = False
+    (rec,) = run_sweep(SweepConfig(scenario=scenario, grid=grid))
+    assert rec.d_rs > 0 and rec.d_lemma2 > 0
+    assert rec.d_rsb is None
+    if rsb:
+        assert rec.error.startswith("ConfigurationError")
+    else:
+        assert rec.error is None
+
+
 def test_run_sweep_records_negative_l0_weights():
     # full/l0 at alpha_inv 4, eta 0.7 tunes to the continued branch with
     # lambda0 < 0 and lambda2 < 0; its trials must fail in the row's error

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from glse.errors import ConfigurationError, DomainError
+from glse import rmt
+from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.rmt import (ChannelSpec, empirical_stieltjes, limiting_stieltjes,
                       r_transform, r_transform_derivative, sample_channel)
 
@@ -138,6 +139,12 @@ def test_limiting_stieltjes_solves_defining_relation():
         recon = alpha / (1.0 + g) - 1.0 / g
         assert recon == pytest.approx(s, abs=1e-10)
         assert np.imag(g) > 0
+
+
+def test_limiting_stieltjes_raises_at_iteration_cap(monkeypatch):
+    monkeypatch.setattr(rmt, "_STIELTJES_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        limiting_stieltjes(0.5, [(1.0, 1.0)], 0.5 + 0.5j)
 
 
 def test_empirical_matches_limiting_stieltjes():

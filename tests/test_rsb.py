@@ -7,11 +7,11 @@ from glse.errors import ConfigurationError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (ScenarioSpec, rs_distortion, solve_rs_scenario,
                           tune)
-from glse.rsb import (_binary_moments, _grid_moments, _QuadGrid,
-                      rsb_distortion, solve_rsb1)
+from glse.rsb import _binary_moments, rsb_distortion, solve_rsb1
 
 BPSK = SupportSpec.mpsk_zero(2, 2.5)
 QPSK = SupportSpec.mpsk_zero(4, 2.5)
+CONST_ENVELOPE = SupportSpec.constant_envelope(2.5)
 
 
 def _tuned(support, ai, eta=0.4):
@@ -47,36 +47,19 @@ def test_constellation_requires_quadratic_only():
 
 
 def test_forced_c_zero_matches_rs_for_untuned_weights():
-    spec = ScenarioSpec(PenaltySpec(lambda2=0.3), QPSK, 0.4, 1.0)
-    rs = solve_rs_scenario(spec)
-    rsb = solve_rsb1(spec, force_c_zero=True)
-    assert rsb.distortion == pytest.approx(rs.distortion, abs=1e-6)
-    assert rsb.eta == pytest.approx(rs.eta, abs=1e-6)
+    for support in (QPSK, CONST_ENVELOPE):
+        spec = ScenarioSpec(PenaltySpec(lambda2=0.3), support, 0.4, 1.0)
+        rs = solve_rs_scenario(spec)
+        rsb = solve_rsb1(spec, force_c_zero=True)
+        assert rsb.distortion == pytest.approx(rs.distortion, abs=1e-6)
+        assert rsb.eta == pytest.approx(rs.eta, abs=1e-6)
 
 
-@pytest.mark.parametrize("support", [QPSK, SupportSpec.constant_envelope(2.5)])
-def test_grid_moments_run_on_decouple(support):
-    # the tensor grid of M >= 4 and constant-envelope supports; its
-    # agreement with the analytic moments is not asserted (the grid is
-    # coarse at the hard thresholds)
-    grid = _QuadGrid(12, 6)
-    pen, xi, rho_rs = PenaltySpec(lambda2=0.3), 1.7, 1.1
-    # rho1 = 0: no tilt, a plain Gauss-Hermite average over the outer nodes
-    power, cross, m1, eta, _ = _grid_moments(grid, pen, support, xi, rho_rs,
-                                             0.0, 1.0)
-    s = np.sqrt(rho_rs) * grid.s0[:, :, 0, 0]
-    x = decouple(s, xi, pen, support)
-    w = grid.w_outer
-    assert m1 == 0
-    assert power == pytest.approx(np.sum(w * np.abs(x) ** 2), rel=1e-12)
-    assert cross == pytest.approx(np.sum(w * np.real(x * np.conj(s))),
-                                  rel=1e-12)
-    assert eta == pytest.approx(np.sum(w * (x != 0)), rel=1e-12)
-    # rho1 > 0: every active output sits on the peak-power ring
-    power, _, _, eta, _ = _grid_moments(grid, pen, support, xi, rho_rs,
-                                        0.4, 2.0)
-    assert power == pytest.approx(support.peak_power * eta, rel=1e-12)
-    assert 0 < eta < 1
+@pytest.mark.parametrize("support", [QPSK, CONST_ENVELOPE])
+def test_broken_solve_covers_binary_constellation_only(support):
+    spec = ScenarioSpec(PenaltySpec(lambda2=0.3), support, 0.4, 1.0)
+    with pytest.raises(ConfigurationError, match="binary constellation"):
+        solve_rsb1(spec)
 
 
 def _gauss_legendre(points, width):
