@@ -23,6 +23,7 @@ from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec, prox
 
 MAX_ENUM_L0 = 16
 MAX_ENUM_DISCRETE = 10**8
+_ENUM_CHUNK = 1 << 14  # candidates per vectorized block of the enumeration
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_TOL = 1e-10
 DEFAULT_NEWTON_ITER = 100
@@ -455,8 +456,7 @@ def _ridge_on_support(h, hs, idx, lambda2):
     return np.linalg.lstsq(h_s, hs, rcond=None)[0]
 
 
-def glse_exhaustive_l0(h, s, rho, penalty: PenaltySpec,
-                       max_n=MAX_ENUM_L0) -> PrecodeOutput:
+def glse_exhaustive_l0(h, s, rho, penalty: PenaltySpec) -> PrecodeOutput:
     """Exact l0-penalized minimizer by enumerating all 2^N supports.
 
     Args:
@@ -479,10 +479,10 @@ def glse_exhaustive_l0(h, s, rho, penalty: PenaltySpec,
         raise ConfigurationError(
             "glse_exhaustive_l0 requires lambda0 >= 0 and lambda2 >= 0")
     n = h.shape[1]
-    if n > max_n:
+    if n > MAX_ENUM_L0:
         raise ConfigurationError(
-            f"N = {n} exceeds the enumeration guard {max_n}; use glse_convex "
-            "with an l1 surrogate instead")
+            f"N = {n} exceeds the enumeration guard {MAX_ENUM_L0}; use "
+            "glse_convex with an l1 surrogate instead")
     hs = np.sqrt(rho) * s
     base = float(np.vdot(hs, hs).real)  # empty support objective
     best_obj = base
@@ -501,8 +501,8 @@ def glse_exhaustive_l0(h, s, rho, penalty: PenaltySpec,
     return _output(h, s, rho, penalty, best_x, 1 << n, True)
 
 
-def glse_exhaustive_discrete(h, s, rho, lambda2, support: SupportSpec,
-                             chunk=1 << 14) -> PrecodeOutput:
+def glse_exhaustive_discrete(h, s, rho, lambda2,
+                             support: SupportSpec) -> PrecodeOutput:
     """Exact minimizer over the zero-extended constellation by enumeration.
 
     Args:
@@ -532,8 +532,8 @@ def glse_exhaustive_discrete(h, s, rho, lambda2, support: SupportSpec,
     radix = m1 ** np.arange(n)
     best_obj = np.inf
     best_x = None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _ENUM_CHUNK):
+        idx = np.arange(start, min(start + _ENUM_CHUNK, total))
         digits = (idx[:, None] // radix[None, :]) % m1
         cand = points[digits]  # (chunk, N)
         resid = cand @ h.T - hs[None, :]

@@ -35,6 +35,8 @@ SPEC_VERSION = "1"
 # memory bound of one stack of APG trials (see _stack_size)
 _GRAM_STACK_BYTES = 1 << 20
 
+_ETA_FIT_BOUNDS = (0.05, 0.999)  # activity interval of fit_equivalent_eta
+
 CSV_COLUMNS = ("alpha_inv", "eta_target", "power_target", "rho", "scenario",
                "lambda", "lambda0", "lambda1", "P", "M", "chi", "p", "D_rs",
                "D_rs_dB", "D_rsb", "eta_replica", "rate_lb", "D_lemma2",
@@ -411,23 +413,20 @@ def read_csv(path):
 
 
 def fit_equivalent_eta(alpha_invs, distortions, target_power, rho,
-                       bounds=(0.05, 0.999), peak_power=None,
-                       subset_power="active"):
+                       peak_power=None):
     """Best-fit activity fraction of the random-subset baseline.
 
     Minimizes the mean squared dB gap between the given distortion curve
     and the random-selection baseline family over the shared inverse-load
-    grid.
+    grid, with the activity fraction searched in _ETA_FIT_BOUNDS.
 
     Args:
         alpha_invs: inverse loads of the target curve.
         distortions: target distortions (linear scale), same length.
         target_power: per-antenna power of the baseline family.
         rho: power control factor.
-        bounds: search interval for the activity fraction.
         peak_power: optional per-antenna peak power for a peak-limited
             baseline.
-        subset_power: "active" or "total" power convention of the baseline.
 
     Returns:
         (eta_fit, mean_sq_db_residual).
@@ -443,11 +442,10 @@ def fit_equivalent_eta(alpha_invs, distortions, target_power, rho,
         gaps = []
         for ai, t_db in zip(alpha_invs, target_db):
             sol = random_tas_asymptote(1.0 / ai, eta, target_power, rho,
-                                       subset_power=subset_power,
                                        peak_power=peak_power)
             gaps.append(to_db(sol.distortion) - t_db)
         return float(np.mean(np.square(gaps)))
 
-    res = minimize_scalar(objective, bounds=bounds, method="bounded",
+    res = minimize_scalar(objective, bounds=_ETA_FIT_BOUNDS, method="bounded",
                           options={"xatol": 1e-6})
     return float(res.x), float(res.fun)

@@ -23,6 +23,7 @@ CONST_ENVELOPE = "const_envelope"
 
 _TINY = np.finfo(float).tiny
 _SUBNORMAL_SCALE = 2.0**600
+_CONTAINS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,9 @@ class SupportSpec:
         points = np.sqrt(self.peak_power) * np.exp(2j * np.pi * k / self.order)
         return np.concatenate(([0.0 + 0.0j], points))
 
-    def contains(self, v, tol=1e-9):
+    def contains(self, v):
+        """Whether v lies on the support, to within _CONTAINS_TOL."""
+        tol = _CONTAINS_TOL
         if self.kind == FULL:
             return True
         if self.kind == DISK:
@@ -151,19 +154,28 @@ def _unit(s, mag):
     return num / (den + (den == 0))
 
 
+def check_covered(penalty: PenaltySpec, support: SupportSpec):
+    """Raise ConfigurationError unless the scenario is one of the six covered.
+
+    The full plane and the disk take an l0 or an l1 penalty but not both;
+    the constellations take the quadratic penalty only.
+    """
+    if support.kind in (FULL, DISK):
+        if penalty.lambda0 != 0 and penalty.lambda1 != 0:
+            raise ConfigurationError(
+                f"combined l0+l1 penalty on the {support.kind} support is "
+                "not a covered scenario; use decouple_grid")
+    elif penalty.lambda0 != 0 or penalty.lambda1 != 0:
+        raise ConfigurationError(
+            f"{support.kind} scenario covers the quadratic penalty only")
+
+
 def _decouple(s, xi, penalty, support):
     """The scalar precoder on a complex array s (see decouple)."""
     if _any(xi == 0):
         raise ConfigurationError("xi must be nonzero")
+    check_covered(penalty, support)
     lam, lam0, lam1 = penalty.lambda2, penalty.lambda0, penalty.lambda1
-    if support.kind in (FULL, DISK):
-        if lam0 != 0 and lam1 != 0:
-            raise ConfigurationError(
-                f"combined l0+l1 penalty on the {support.kind} support is "
-                "not a covered scenario; use decouple_grid")
-    elif lam0 != 0 or lam1 != 0:
-        raise ConfigurationError(
-            f"{support.kind} scenario covers the quadratic penalty only")
     shrink = _shrink_factor(xi, lam)
     root_p = np.inf if support.kind == FULL else np.sqrt(support.peak_power)
     mag = np.abs(s)

@@ -55,26 +55,12 @@ class ChannelSpec:
         object.__setattr__(self, "pathloss_atoms",
                            _validate_atoms(self.pathloss_atoms))
 
-    @property
-    def load(self):
-        """Load factor alpha = K/N."""
-        return self.n_users / self.n_tx
-
 
 @dataclass(frozen=True)
 class ChannelSample:
     """One sampled channel matrix H (shape K x N)."""
 
     matrix: np.ndarray
-    seed_used: int
-
-    @property
-    def n_tx(self):
-        return self.matrix.shape[1]
-
-    @property
-    def n_users(self):
-        return self.matrix.shape[0]
 
     def gramian(self):
         """J = H^H H, an N x N Hermitian matrix."""
@@ -100,7 +86,7 @@ def sample_channel(spec: ChannelSpec) -> ChannelSample:
     probs = np.array([p for _, p in spec.pathloss_atoms])
     a_diag = rng.choice(gains, size=k, p=probs / probs.sum())
     h = np.sqrt(a_diag)[:, None] * g
-    return ChannelSample(matrix=h, seed_used=spec.rng_seed)
+    return ChannelSample(matrix=h)
 
 
 def r_transform(load, pathloss_atoms, omega):

@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .penalties import CONST_ENVELOPE, MPSK_ZERO
+from .penalties import CONST_ENVELOPE, MPSK_ZERO, check_covered
 from .replica import (ScenarioSpec, _damped_fixed_point, _panel_edges, _w,
                       _w_prime, rs_distortion, scenario_moments,
                       solve_rs_scenario)
@@ -334,9 +334,7 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
         raise ConfigurationError(
             "one-step broken solver covers constellation supports; convex "
             "scenarios are handled by the symmetric solver")
-    if spec.penalty.lambda0 != 0 or spec.penalty.lambda1 != 0:
-        raise ConfigurationError(
-            "constellation scenarios cover the quadratic penalty only")
+    check_covered(spec.penalty, spec.support)
 
     if force_c_zero:
         return _forced_rs(spec)
@@ -379,24 +377,21 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
             "no root of the mu equation in the bracket; widen mu_bracket",
             {"mu_residuals": {float(k): float(values[k]) for k in keys}})
 
+    # geometric bisection; (mu, st) is the last mu solved and its state
     a, b = bracket
     fa = values[a]
-    st = states[b]
+    mu, st = b, states[b]
     for _ in range(80):
         mid = np.sqrt(a * b)
         cand = converge_at(mid)
         if cand is None:
             break
         fm = _mu_residual(spec, mid, cand)
-        st = cand
+        mu, st = mid, cand
         if fm == 0.0 or (b - a) < 1e-6 * b:
-            a = b = mid
             break
         if np.sign(fm) == np.sign(fa):
             a, fa = mid, fm
         else:
             b = mid
-    mu = np.sqrt(a * b)
-    final = converge_at(mu) or st
-    return _solution(spec, mu, final,
-                     {"mu": abs(_mu_residual(spec, mu, final))})
+    return _solution(spec, mu, st, {"mu": abs(_mu_residual(spec, mu, st))})

@@ -66,6 +66,81 @@ def test_analytic_moments_match_quadrature(penalty, support):
         np.testing.assert_allclose(ana, num, rtol=1e-10, atol=0)
 
 
+# (lambda2, P, xi, rho_rs): the tuned BPSK point of the rsb_bpsk benchmark
+# (alpha_inv 2.5, eta 0.4, P 2.5), where eta = 0.4, and an activity of
+# 0.054, where a default-tolerance phase quadrature errs by 1.7e-8 in eta
+CRAIG_POINTS = [(0.0820151136520164, 2.5, 8.3306897560951, 5.0),
+                (0.9, 4.48, 1.5, 3.33)]
+
+
+@pytest.mark.parametrize("lam,peak,xi,rho_rs", CRAIG_POINTS)
+def test_constellation_moments_match_craig(lam, peak, xi, rho_rs):
+    # BPSK is active where |Re s| > tau0: eta = 2Q(h) and cross =
+    # sqrt(P) E|Re s|; QPSK where max(|Re s|, |Im s|) > tau0 (Craig 1991).
+    # h is tau0 in units of the deviation sqrt(rho_rs/2) of Re s
+    h = np.sqrt(2.0 / rho_rs) * np.sqrt(peak) * (1.0 + xi * lam) / 2.0
+    q = qfunc(h)
+    power, cross, eta = scenario_moments(
+        PenaltySpec(lambda2=lam), SupportSpec.mpsk_zero(2, peak), xi, rho_rs)
+    cross_ref = np.sqrt(peak * rho_rs / np.pi) * np.exp(-0.5 * h * h)
+    np.testing.assert_allclose([power, cross, eta],
+                               [peak * 2.0 * q, cross_ref, 2.0 * q],
+                               rtol=1e-13, atol=0)
+    _, _, eta4 = scenario_moments(
+        PenaltySpec(lambda2=lam), SupportSpec.mpsk_zero(4, peak), xi, rho_rs)
+    assert eta4 == pytest.approx(4.0 * q - 4.0 * q * q, rel=1e-13, abs=0)
+
+
+def _phase_quadrature(lam, peak, order, xi, rho_rs):
+    """(power, cross, eta) as tight adaptive integrals over [0, pi/M]."""
+    from scipy.integrate import quad
+
+    root_p = np.sqrt(peak)
+    tau0 = root_p * (1.0 + xi * lam) / 2.0
+
+    def eta_ray(theta):
+        return np.exp(-(tau0 / np.cos(theta)) ** 2 / rho_rs)
+
+    def cross_ray(theta):
+        # cos(theta) sqrt(P) E[r; r > tau] for the Rayleigh law of |s|
+        tau = tau0 / np.cos(theta)
+        return root_p * np.cos(theta) * (
+            tau * np.exp(-tau * tau / rho_rs)
+            + np.sqrt(np.pi * rho_rs) * qfunc(np.sqrt(2.0 / rho_rs) * tau))
+
+    half = np.pi / order
+    eta, cross = (quad(f, 0.0, half, limit=500, epsabs=0, epsrel=1.2e-14)[0]
+                  * order / np.pi for f in (eta_ray, cross_ray))
+    return peak * eta, cross, eta
+
+
+@pytest.mark.parametrize("order", [3, 8])
+@pytest.mark.parametrize("lam,peak,xi,rho_rs", [
+    (0.3, 2.5, 1.2, 0.8),
+    (0.9, 4.48, 1.5, 3.33),
+    # 1 + xi*lambda2 = -0.35: not coercive, but tune's root-finds pass here
+    (-0.9, 2.5, 1.5, 1.0),
+])
+def test_mpsk_moments_match_phase_quadrature(order, lam, peak, xi, rho_rs):
+    sup = SupportSpec.mpsk_zero(order, peak)
+    np.testing.assert_allclose(
+        scenario_moments(PenaltySpec(lambda2=lam), sup, xi, rho_rs),
+        _phase_quadrature(lam, peak, order, xi, rho_rs), rtol=1e-12, atol=0)
+
+
+def test_package_imports_no_numerical_integration():
+    # every Gaussian moment is a closed form or the package's own rule
+    import os
+    import subprocess
+    import sys
+
+    import glse
+    src = os.path.dirname(os.path.dirname(glse.__file__))
+    code = "import sys, glse; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def _bisect(profile, rho_rs, a, b, left_on):
     for _ in range(100):
         mid = 0.5 * (a + b)

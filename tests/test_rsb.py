@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import logsumexp
 
+from glse import rsb
 from glse.errors import ConfigurationError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (ScenarioSpec, rs_distortion, solve_rs_scenario,
@@ -60,6 +61,35 @@ def test_broken_solve_covers_binary_constellation_only(support):
     spec = ScenarioSpec(PenaltySpec(lambda2=0.3), support, 0.4, 1.0)
     with pytest.raises(ConfigurationError, match="binary constellation"):
         solve_rsb1(spec)
+
+
+def test_failed_bisection_step_returns_a_solved_mu(monkeypatch):
+    # the rsb_bpsk benchmark spec; every inner solve at the first bisection
+    # point fails, so the search must stop at a mu it has solved, with that
+    # mu's own state, and solve no mu twice
+    spec, _ = _tuned(BPSK, 2.5)
+    scan = set(np.geomspace(4.0, 10.0, 20))
+    solved, failing, calls = {}, [], []
+    best_of_starts = rsb._best_of_starts
+
+    def flaky(spec, mu, starts, broken):
+        calls.append(mu)
+        if mu not in scan and (not failing or mu == failing[0]):
+            failing.append(mu)
+            return None, False
+        out = best_of_starts(spec, mu, starts, broken)
+        if out[0] is not None:
+            solved[mu] = out[0]
+        return out
+
+    monkeypatch.setattr(rsb, "_best_of_starts", flaky)
+    sol = solve_rsb1(spec, mu_bracket=(4.0, 10.0))
+    assert failing
+    assert sol.mu in solved
+    state = solved[sol.mu]
+    assert (sol.chi, sol.p, sol.c, sol.distortion) == (
+        state[0], state[1], state[2], state[-1])
+    assert len(calls) == len(set(calls))
 
 
 def _gauss_legendre(points, width):
