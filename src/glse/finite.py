@@ -222,41 +222,31 @@ def glse_convex_stack(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
     f_best = _stack_objective(h, hs, penalty, x)
     x_best = x.copy()
     f_prev = f_best.copy()
-    # Row j of the state is input row rows[j]. A finishing row's slot in
-    # the Gram stack takes the last running row, so that stack is never
-    # re-gathered; the objective is evaluated on the whole channel stack,
-    # in input order (x_all), so that stack is never copied.
+    # Row j of the running state is input row rows[j]; finished rows leave
+    # every per-row array, so each step works on the running rows only.
     rows = np.arange(b)
-    x_all = x.copy()
+    h_run, hs_run = h, hs
     outs = [None] * b
 
     def finish(done, iterations, converged):
-        nonlocal rows, step, hts, x, y, t, f_prev, f_best, x_best
+        nonlocal rows, h_run, hs_run, gram, step, hts, x, y, t, f_prev
+        nonlocal f_best, x_best
         for j in done:
             i = rows[j]
             outs[i] = _output(h[i], s[i], rho, penalty, x_best[j].copy(),
                               iterations, converged)
-        order = np.arange(rows.size)
-        top = rows.size
-        for j in sorted(done, reverse=True):
-            top -= 1
-            order[j] = order[top]
-        order = order[:top]
-        for j in np.flatnonzero(order != np.arange(top)):
-            gram[j] = gram[order[j]]
-        rows, step, hts, x, y, t, f_prev, f_best, x_best = (
-            a[order] for a in (rows, step, hts, x, y, t, f_prev, f_best,
-                               x_best))
+        keep = np.ones(rows.size, dtype=bool)
+        keep[done] = False
+        (rows, h_run, hs_run, gram, step, hts, x, y, t, f_prev, f_best,
+         x_best) = (a[keep] for a in (rows, h_run, hs_run, gram, step, hts,
+                                      x, y, t, f_prev, f_best, x_best))
 
     def objective(v):
-        if rows.size == b:  # no row has finished: rows is the identity
-            return _stack_objective(h, hs, penalty, v)
-        x_all[rows] = v
-        return _stack_objective(h, hs, penalty, x_all)[rows]
+        return _stack_objective(h_run, hs_run, penalty, v)
 
     def advance(v):
-        return _prox_grad_step(gram[:rows.size], hts, v, step, penalty,
-                               support, power_cap)
+        return _prox_grad_step(gram, hts, v, step, penalty, support,
+                               power_cap)
 
     finish(np.flatnonzero(lip == 0), 0, True)
     it = 0

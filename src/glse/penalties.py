@@ -6,6 +6,7 @@ constellation extended with zero, or its constant-envelope limit.
 `decouple` evaluates the closed-form minimizer of |v - s|^2 + xi*u(v) in
 the six covered scenarios, elementwise on scalars or arrays; `prox` is the
 same map at xi = 2*step and `decouple_grid` is the brute-force oracle.
+`check_domain` is the one rule for where that problem is well-posed.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ class PenaltySpec:
     xi is negative, so the effective scalar weights xi*lambda stay
     positive while the nominal weights flip sign. Well-posedness of the
     scalar problem (1 + xi*lambda2 > 0, xi*lambda0 >= 0, xi*lambda1 >= 0)
-    is checked where the weights are used. At finite N, a full-plane
-    penalty with lambda1 < 0 (that branch) stands for a stationary point
-    of the unbounded objective (finite.glse_stationary); lambda2 < 0 with
-    lambda1 >= 0 stands for the minimiser under a power budget
-    (finite.glse_convex with power_cap).
+    is checked by check_domain where the weights are used. At finite N, a
+    full-plane penalty with lambda1 < 0 (that branch) stands for a
+    stationary point of the unbounded objective (finite.glse_stationary);
+    lambda2 < 0 with lambda1 >= 0 stands for the minimiser under a power
+    budget (finite.glse_convex with power_cap).
     """
 
     lambda2: float = 0.0
@@ -121,25 +122,6 @@ def _any(cond):
     return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
-def _effective_threshold(value):
-    """Validate that an effective (xi-scaled) sparse weight is nonnegative."""
-    if _any(value < 0):
-        raise DomainError(
-            f"effective sparse weight {np.min(value)} < 0: the scalar "
-            "problem has no thresholding minimizer (check signs of xi and "
-            "the weights)")
-    return value
-
-
-def _shrink_factor(xi, lambda2):
-    shrink = 1.0 + xi * lambda2
-    if _any(shrink <= 0):
-        raise DomainError(
-            f"1 + xi*lambda2 = {np.min(shrink)} <= 0: scalar problem not "
-            "coercive")
-    return shrink
-
-
 def _unit(s, mag):
     """s/|s| elementwise, 0 where s = 0."""
     num, den = s, mag
@@ -170,13 +152,34 @@ def check_covered(penalty: PenaltySpec, support: SupportSpec):
             f"{support.kind} scenario covers the quadratic penalty only")
 
 
+def check_domain(penalty: PenaltySpec, xi):
+    """Raise DomainError unless the scalar problem at xi is well-posed.
+
+    Well-posed means coercive, 1 + xi*lambda2 > 0, with nonnegative
+    effective sparse weights xi*lambda0 and xi*lambda1; xi may be an array.
+    Returns the shrink factor 1 + xi*lambda2.
+    """
+    shrink = 1.0 + xi * penalty.lambda2
+    if _any(shrink <= 0):
+        raise DomainError(
+            f"1 + xi*lambda2 = {np.min(shrink)} <= 0: scalar problem not "
+            "coercive")
+    for weight in (penalty.lambda0, penalty.lambda1):
+        if weight != 0 and _any(xi * weight < 0):
+            raise DomainError(
+                f"effective sparse weight {np.min(xi * weight)} < 0: the "
+                "scalar problem has no thresholding minimizer (check signs "
+                "of xi and the weights)")
+    return shrink
+
+
 def _decouple(s, xi, penalty, support):
     """The scalar precoder on a complex array s (see decouple)."""
     if _any(xi == 0):
         raise ConfigurationError("xi must be nonzero")
     check_covered(penalty, support)
-    lam, lam0, lam1 = penalty.lambda2, penalty.lambda0, penalty.lambda1
-    shrink = _shrink_factor(xi, lam)
+    shrink = check_domain(penalty, xi)
+    lam0, lam1 = penalty.lambda0, penalty.lambda1
     root_p = np.inf if support.kind == FULL else np.sqrt(support.peak_power)
     mag = np.abs(s)
     if support.kind == MPSK_ZERO:
@@ -194,14 +197,14 @@ def _decouple(s, xi, penalty, support):
         r = np.where(mag > root_p * shrink / 2.0, root_p, 0.0)
     elif lam0 == 0:
         # soft threshold (the ridge when lambda1 = 0), clipped to the disk
-        tau1 = _effective_threshold(xi * lam1 / 2.0)
+        tau1 = xi * lam1 / 2.0
         r = np.maximum(mag - tau1, 0.0) / shrink
         if support.kind == DISK:
             r = np.minimum(r, root_p)
     else:
         # hard threshold: linear band (tau0, tau_clip], rim above tau_hat
         # (both infinite on the full plane)
-        tau0 = np.sqrt(_effective_threshold(xi * lam0 * shrink))
+        tau0 = np.sqrt(xi * lam0 * shrink)
         tau_clip = shrink * root_p
         tau_hat = max(tau_clip, tau_clip / 2.0 + xi * lam0 / (2.0 * root_p))
         band = (mag > tau0) & (mag <= tau_clip)
@@ -249,7 +252,7 @@ def decouple_grid(s, xi, penalty: PenaltySpec, support: SupportSpec,
             xi * penalty.lambda0 + xi * penalty.lambda1 + 1.0)
         if penalty.lambda2 < 0:
             # amplifying quadratic weight: widen so |s|/(1+xi*lambda2) fits
-            r_max /= min(1.0, _shrink_factor(xi, penalty.lambda2))
+            r_max /= min(1.0, check_domain(penalty, xi))
         if support.kind == DISK:
             r_max = min(r_max, np.sqrt(support.peak_power))
         radii = np.linspace(0.0, r_max, resolution)

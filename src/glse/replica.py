@@ -25,7 +25,7 @@ from scipy.special import erfc, lambertw, ndtr, owens_t, roots_legendre
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import (DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec,
-                        check_covered, decouple)
+                        check_covered, check_domain, decouple)
 from .rmt import UNIT_ATOMS, r_transform, r_transform_derivative
 
 _DAMPING = 0.5
@@ -203,8 +203,13 @@ def _moments_ce(lam, peak_power, xi, rho_rs):
 
 
 def scenario_moments(penalty, support, xi, rho_rs):
-    """Analytic (power, cross, eta) for the covered scenarios."""
+    """Analytic (power, cross, eta) for the covered scenarios.
+
+    Raises DomainError where the scalar problem is not well-posed
+    (penalties.check_domain), as the scalar minimizer does.
+    """
     check_covered(penalty, support)
+    check_domain(penalty, xi)
     lam, lam0, lam1 = penalty.lambda2, penalty.lambda0, penalty.lambda1
     if support.kind == FULL:
         if lam1 != 0:
@@ -438,7 +443,12 @@ def _solve_rs(spec, moments_fn, inits):
 
 
 def solve_rs_scenario(spec: ScenarioSpec, inits=None) -> RsSolution:
-    """Replica-symmetric fixed point using the analytic scenario moments."""
+    """Replica-symmetric fixed point using the analytic scenario moments.
+
+    A start whose iterate leaves the scalar problem's domain, where
+    scenario_moments raises DomainError, is dropped like any diverging
+    start.
+    """
     return _solve_rs(spec, scenario_moments, inits)
 
 
@@ -450,8 +460,8 @@ def solve_rs_generic(spec: ScenarioSpec, inits=None) -> RsSolution:
     (generic_moments), for every support including the constellations.
     Each panel of the adaptive rule is resolved to 1e-14 of the moment;
     a moment that does not resolve raises ConvergenceError. A start whose
-    iterate leaves the coercive region 1 + xi*lambda2 > 0, where the scalar
-    minimizer raises DomainError, is dropped like any diverging start.
+    iterate leaves the scalar problem's domain, where the scalar minimizer
+    raises DomainError, is dropped like any diverging start.
     """
     return _solve_rs(spec, generic_moments, inits)
 
@@ -478,17 +488,46 @@ def _chi_from_q(q, what):
     return q / (1.0 - q)
 
 
-def _root_from(equations, starts, failure):
-    """First hybr root over the starts, in order; ConfigurationError if none.
+def _tune_root(spec, p_t, unpack, targets, starts, failure):
+    """(penalty, chi) of the first hybr root over the starts, in order.
 
+    unpack maps the unknowns z to (penalty, chi, xi); targets maps the
+    moment names "power" and "eta" to their targets. The equations are
+    moment - target for each entry of targets, in its order, then the chi
+    equation of the fixed point, with rho_rs pinned by the power target.
     A root counts when hybr reports success and every residual is below
-    1e-9.
+    1e-9; a start whose iterate leaves the scalar problem's domain is
+    dropped. Raises ConfigurationError when no start gives a root.
     """
+    rho_rs = (spec.rho + p_t) / spec.load
+
+    def equations(z):
+        pen, chi, xi = unpack(z)
+        power, cross, eta = scenario_moments(pen, spec.support, xi, rho_rs)
+        moments = {"power": power, "eta": eta}
+        return ([moments[k] - v for k, v in targets.items()]
+                + [chi - xi * cross / rho_rs])
+
+    residual = None
     for z0 in starts:
-        sol = root(equations, z0, method="hybr", tol=1e-13)
+        try:
+            sol = root(equations, z0, method="hybr", tol=1e-13)
+        except DomainError as exc:
+            residual = exc
+            continue
+        residual = sol.fun
         if sol.success and np.max(np.abs(sol.fun)) < 1e-9:
-            return sol.x
-    raise ConfigurationError(f"{failure} (last residual {sol.fun})")
+            return unpack(sol.x)[:2]
+    raise ConfigurationError(f"{failure} (last residual {residual})")
+
+
+def _unpack_shrink_chi(spec):
+    """Unknowns (log shrink, log chi) of a quadratic-only penalty."""
+    def unpack(z):
+        shrink, chi = np.exp(z)
+        xi = (1.0 + chi) / spec.load
+        return PenaltySpec(lambda2=(shrink - 1.0) / xi), chi, xi
+    return unpack
 
 
 def _tune_full_l0(spec, p_t, eta_t):
@@ -522,10 +561,7 @@ def _tune_full_l1(spec, p_t, eta_t):
 
 def _tune_disk(spec, p_t, eta_t, sparsity):
     # unknowns, solved in logs: shrink = 1 + xi*lambda2, sparse threshold
-    # tau and chi, all positive; rho_rs is pinned by the power target
-    rho_rs = (spec.rho + p_t) / spec.load
-    peak = spec.support.peak_power
-
+    # tau and chi, all positive
     try:
         if sparsity == "l0":
             init_pen, chi0 = _tune_full_l0(spec, p_t, eta_t)
@@ -552,37 +588,21 @@ def _tune_disk(spec, p_t, eta_t, sparsity):
                               lambda1=2.0 * tau / xi)
         return pen, chi, xi
 
-    def equations(z):
-        pen, chi, xi = unpack(z)
-        power, cross, eta = scenario_moments(pen, spec.support, xi, rho_rs)
-        return [power - p_t, eta - eta_t, chi - xi * cross / rho_rs]
-
     z0 = np.log([max(shrink0, 1e-3), max(tau0, 1e-3), max(chi0, 1e-3)])
-    z = _root_from(equations, [z0], (
-        f"tuning did not reach the targets; peak power {peak} may make "
-        f"(p={p_t}, eta={eta_t}) infeasible"))
-    pen, chi, _ = unpack(z)
-    return pen, chi
+    return _tune_root(
+        spec, p_t, unpack, {"power": p_t, "eta": eta_t}, [z0],
+        f"tuning did not reach the targets; peak power "
+        f"{spec.support.peak_power} may make (p={p_t}, eta={eta_t}) "
+        "infeasible")
 
 
 def _tune_disk_power(spec, p_t):
     """Quadratic-only weight on the disk support hitting the power target."""
-    rho_rs = (spec.rho + p_t) / spec.load
-
-    def equations(z):
-        shrink, chi = np.exp(z)
-        xi = (1.0 + chi) / spec.load
-        pen = PenaltySpec(lambda2=(shrink - 1.0) / xi)
-        power, cross, _ = scenario_moments(pen, spec.support, xi, rho_rs)
-        return [power - p_t, chi - xi * cross / rho_rs]
-
-    z = _root_from(
-        equations, ([0.0, 0.0], [0.5, 1.0], [-0.5, 2.0], [1.0, -1.0]),
+    return _tune_root(
+        spec, p_t, _unpack_shrink_chi(spec), {"power": p_t},
+        ([0.0, 0.0], [0.5, 1.0], [-0.5, 2.0], [1.0, -1.0]),
         f"disk power tuning failed: peak power {spec.support.peak_power} "
         f"may be too small for target power {p_t}")
-    shrink, chi = np.exp(z)
-    xi = (1.0 + chi) / spec.load
-    return PenaltySpec(lambda2=(shrink - 1.0) / xi), chi
 
 
 def _tune_constellation(spec, p_t, eta_t):
@@ -591,27 +611,14 @@ def _tune_constellation(spec, p_t, eta_t):
         raise ConfigurationError(
             "constellation scenarios have p = eta * P; targets require "
             f"P = {p_t / eta_t:.6g} but support has P = {peak}")
-    rho_rs = (spec.rho + p_t) / spec.load
-
-    def equations(z):
-        # lambda2 in (-1, inf); shrink = 1 + xi*lambda2 still goes
-        # nonpositive when xi > 1
-        lam = np.exp(z[0]) - 1.0
-        chi = np.exp(z[1])
-        xi = (1.0 + chi) / spec.load
-        pen = PenaltySpec(lambda2=lam)
-        _, cross, eta = scenario_moments(pen, spec.support, xi, rho_rs)
-        return [eta - eta_t, chi - xi * cross / rho_rs]
-
-    z = _root_from(
-        equations, ([0.4, 0.0], [0.05, 0.5], [1.0, -0.5], [0.0, 1.0]),
+    return _tune_root(
+        spec, p_t, _unpack_shrink_chi(spec), {"eta": eta_t},
+        ([0.4, 0.0], [0.05, 0.5], [1.0, -0.5], [0.0, 1.0]),
         "constellation tuning failed: activity target may be unreachable "
         "for this support and load")
-    return PenaltySpec(lambda2=np.exp(z[0]) - 1.0), float(np.exp(z[1]))
 
 
-def solution_at(spec: ScenarioSpec, chi, p,
-                moments_fn=scenario_moments) -> RsSolution:
+def solution_at(spec: ScenarioSpec, chi, p) -> RsSolution:
     """Evaluate the fixed-point state at (chi, p) and report its residuals.
 
     Used by tuning, which knows the fixed point in closed form, including
@@ -619,7 +626,8 @@ def solution_at(spec: ScenarioSpec, chi, p,
     in chi >= 0) cannot reach.
     """
     xi, rho_rs = _rs_state(spec, chi, p)
-    power, cross, eta = moments_fn(spec.penalty, spec.support, xi, rho_rs)
+    power, cross, eta = scenario_moments(spec.penalty, spec.support, xi,
+                                         rho_rs)
     residuals = {"chi": abs(xi * cross / rho_rs - chi), "p": abs(power - p)}
     return RsSolution(chi=float(chi), p=float(p), rho_rs=rho_rs, xi=xi,
                       distortion=rs_distortion(spec, chi, p),

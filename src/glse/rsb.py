@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .penalties import CONST_ENVELOPE, MPSK_ZERO, check_covered
+from .penalties import CONST_ENVELOPE, MPSK_ZERO, check_covered, check_domain
 from .replica import (ScenarioSpec, _damped_fixed_point, _panel_edges, _w,
                       _w_prime, rs_distortion, scenario_moments,
                       solve_rs_scenario)
@@ -150,10 +150,9 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
 
     Returns (E|x|^2, E Re{x s_rs*}, E Re{x s1*}, eta, E log Z) where the
     tilted inner average is taken before the outer expectation; rho1 > 0.
+    Raises DomainError where the scalar problem is not well-posed.
     """
-    shrink = 1.0 + xi * penalty.lambda2
-    if shrink <= 0:
-        raise DomainError("scalar problem not coercive")
+    shrink = check_domain(penalty, xi)
     root_p = np.sqrt(support.peak_power)
     theta = root_p * shrink / 2.0
     a = 2.0 * root_p * mu / xi
@@ -237,9 +236,6 @@ def _inner_fixed_point(spec, mu, chi0, p0, c0):
         chi, p, c = x
         xi, rho_rs, rho1, chi_tilde = _rsb_state(spec, chi, p, mu, c)
         if rho1 <= 0:
-            # scenario_moments does not check coercivity itself
-            if 1.0 + xi * penalty.lambda2 <= 0:
-                raise DomainError("scalar problem not coercive")
             m_pc, m0, eta = scenario_moments(penalty, support, xi, rho_rs)
             log_z = 0.0
             p_new = m_pc - c

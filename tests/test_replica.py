@@ -4,10 +4,11 @@ import pytest
 from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (ScenarioSpec, _active_segments, _damped_fixed_point,
-                          _ray_moments, generic_moments, heuristic_rate,
-                          lemma2_bound, qfunc, random_tas_asymptote,
-                          rate_lower_bound, rs_distortion, scenario_moments,
-                          solve_rs_generic, solve_rs_scenario, tune)
+                          _ray_moments, _tune_root, _unpack_shrink_chi,
+                          generic_moments, heuristic_rate, lemma2_bound,
+                          qfunc, random_tas_asymptote, rate_lower_bound,
+                          rs_distortion, scenario_moments, solve_rs_generic,
+                          solve_rs_scenario, tune)
 
 FULL = SupportSpec.full_complex()
 
@@ -118,14 +119,37 @@ def _phase_quadrature(lam, peak, order, xi, rho_rs):
 @pytest.mark.parametrize("lam,peak,xi,rho_rs", [
     (0.3, 2.5, 1.2, 0.8),
     (0.9, 4.48, 1.5, 3.33),
-    # 1 + xi*lambda2 = -0.35: not coercive, but tune's root-finds pass here
-    (-0.9, 2.5, 1.5, 1.0),
 ])
 def test_mpsk_moments_match_phase_quadrature(order, lam, peak, xi, rho_rs):
     sup = SupportSpec.mpsk_zero(order, peak)
     np.testing.assert_allclose(
         scenario_moments(PenaltySpec(lambda2=lam), sup, xi, rho_rs),
         _phase_quadrature(lam, peak, order, xi, rho_rs), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("penalty,support,xi", [
+    # 1 + xi*lambda2 = -0.5: not coercive
+    (PenaltySpec(lambda2=-0.5), SupportSpec.mpsk_zero(2, 2.5), 3.0),
+    (PenaltySpec(lambda2=-0.5), SupportSpec.mpsk_zero(4, 2.5), 3.0),
+    (PenaltySpec(lambda2=-0.5), SupportSpec.constant_envelope(2.5), 3.0),
+    (PenaltySpec(lambda2=-0.5, lambda1=0.3), FULL, 3.0),
+    (PenaltySpec(lambda2=-0.5, lambda1=0.3), SupportSpec.disk(2.5), 3.0),
+    (PenaltySpec(lambda2=-0.5, lambda0=0.3), FULL, 3.0),
+    (PenaltySpec(lambda2=-0.5, lambda0=0.3), SupportSpec.disk(2.5), 3.0),
+    # negative effective sparse weight xi*lambda
+    (PenaltySpec(lambda2=0.2, lambda1=-0.3), FULL, 3.0),
+    (PenaltySpec(lambda2=0.2, lambda0=-0.3), SupportSpec.disk(2.5), 3.0),
+    # 1 + xi*lambda2 = -0.35 on M-PSK
+    (PenaltySpec(lambda2=-0.9), SupportSpec.mpsk_zero(3, 2.5), 1.5),
+    (PenaltySpec(lambda2=-0.9), SupportSpec.mpsk_zero(8, 2.5), 1.5),
+], ids=["bpsk", "qpsk", "const_envelope", "full_l1", "disk_l1", "full_l0",
+        "disk_l0", "full_l1_negative", "disk_l0_negative", "mpsk3", "mpsk8"])
+def test_moments_raise_outside_the_scalar_domain(penalty, support, xi):
+    # both moment paths share the scalar minimizer's domain rule
+    with pytest.raises(DomainError):
+        scenario_moments(penalty, support, xi, 1.0)
+    with pytest.raises(DomainError):
+        generic_moments(penalty, support, xi, 1.0)
 
 
 def test_package_imports_no_numerical_integration():
@@ -276,6 +300,41 @@ def test_tune_constellation_power_consistency():
     assert sol.eta == pytest.approx(0.4, abs=1e-6)
     assert sol.p == pytest.approx(1.0, abs=1e-6)
     assert pen.lambda0 == 0 and pen.lambda1 == 0
+
+
+def test_tune_constellation_finds_the_coercive_root():
+    # hybr in (log(1 + lambda2), log chi) reached lambda2 = -0.3332 here,
+    # where 1 + xi*lambda2 = -0.70; in log(shrink) it stays in the domain
+    sup = SupportSpec.mpsk_zero(2, 2.5)
+    spec = _spec(PenaltySpec(), sup, load=1.0 / 1.5)
+    pen, sol = tune(spec, 0.7 * 2.5, 0.7)
+    assert 1.0 + sol.xi * pen.lambda2 > 0
+    assert sol.eta == pytest.approx(0.7, rel=1e-12)
+    # the quadrature path agrees to its BPSK phase-rule accuracy (about
+    # 1e-9 relative at activity 0.7; see generic_moments)
+    _, _, eta = generic_moments(pen, sup, sol.xi, sol.rho_rs)
+    assert eta == pytest.approx(0.7, rel=1e-8)
+
+
+def test_tune_constellation_unreachable_target_is_configuration_error():
+    spec = _spec(PenaltySpec(), SupportSpec.mpsk_zero(4, 2.5),
+                 load=1.0 / 4.7)
+    with pytest.raises(ConfigurationError):
+        tune(spec, 0.7 * 2.5, 0.7)
+
+
+def test_tune_root_drops_a_start_outside_the_domain():
+    # exp(-800) underflows shrink to 0: the first evaluation raises
+    # DomainError, and the next start still finds the root
+    spec = _spec(PenaltySpec(), SupportSpec.mpsk_zero(2, 2.5), load=0.4)
+    unpack = _unpack_shrink_chi(spec)
+    pen, chi = _tune_root(spec, 1.0, unpack, {"eta": 0.4},
+                          ([-800.0, 0.0], [0.4, 0.0]), "no root")
+    expected, sol = tune(spec, 1.0, 0.4)
+    assert pen == expected and chi == sol.chi
+    with pytest.raises(ConfigurationError, match="no root"):
+        _tune_root(spec, 1.0, unpack, {"eta": 0.4}, ([-800.0, 0.0],),
+                   "no root")
 
 
 def test_damped_fixed_point_cases():

@@ -4,7 +4,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import logsumexp
 
 from glse import rsb
-from glse.errors import ConfigurationError
+from glse.errors import ConfigurationError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (ScenarioSpec, rs_distortion, solve_rs_scenario,
                           tune)
@@ -45,6 +45,12 @@ def test_constellation_requires_quadratic_only():
     spec = ScenarioSpec(PenaltySpec(lambda2=0.3, lambda1=0.1), BPSK, 0.5, 1.0)
     with pytest.raises(ConfigurationError):
         solve_rsb1(spec)
+
+
+def test_binary_moments_raise_outside_the_scalar_domain():
+    # 1 + xi*lambda2 = -0.5, as for the symmetric moments
+    with pytest.raises(DomainError):
+        _binary_moments(PenaltySpec(lambda2=-0.5), BPSK, 3.0, 1.0, 0.1, 2.0)
 
 
 def test_forced_c_zero_matches_rs_for_untuned_weights():
