@@ -117,9 +117,9 @@ def scalar_objective(v, s, xi, penalty: PenaltySpec,
     return float(abs(v - s) ** 2 + xi * penalty.value(v))
 
 
-def _any(cond):
-    """True if a scalar condition holds or any entry of an array one does."""
-    return cond.any() if isinstance(cond, np.ndarray) else cond
+def _all(cond):
+    """True if a scalar condition holds or every entry of an array one does."""
+    return cond.all() if isinstance(cond, np.ndarray) else cond
 
 
 def _unit(s, mag):
@@ -156,26 +156,26 @@ def check_domain(penalty: PenaltySpec, xi):
     """Raise DomainError unless the scalar problem at xi is well-posed.
 
     Well-posed means coercive, 1 + xi*lambda2 > 0, with nonnegative
-    effective sparse weights xi*lambda0 and xi*lambda1; xi may be an array.
-    Returns the shrink factor 1 + xi*lambda2.
+    effective sparse weights xi*lambda0 and xi*lambda1; a NaN state is not
+    well-posed. xi may be an array. Returns the shrink factor 1 + xi*lambda2.
     """
     shrink = 1.0 + xi * penalty.lambda2
-    if _any(shrink <= 0):
+    if not _all(shrink > 0):
         raise DomainError(
-            f"1 + xi*lambda2 = {np.min(shrink)} <= 0: scalar problem not "
-            "coercive")
+            f"1 + xi*lambda2 = {np.min(shrink)} is not > 0: scalar problem "
+            "not coercive")
     for weight in (penalty.lambda0, penalty.lambda1):
-        if weight != 0 and _any(xi * weight < 0):
+        if weight != 0 and not _all(xi * weight >= 0):
             raise DomainError(
-                f"effective sparse weight {np.min(xi * weight)} < 0: the "
-                "scalar problem has no thresholding minimizer (check signs "
-                "of xi and the weights)")
+                f"effective sparse weight {np.min(xi * weight)} is not >= 0: "
+                "the scalar problem has no thresholding minimizer (check "
+                "signs of xi and the weights)")
     return shrink
 
 
 def _decouple(s, xi, penalty, support):
     """The scalar precoder on a complex array s (see decouple)."""
-    if _any(xi == 0):
+    if not _all(xi != 0):
         raise ConfigurationError("xi must be nonzero")
     check_covered(penalty, support)
     shrink = check_domain(penalty, xi)

@@ -509,15 +509,17 @@ def _tune_root(spec, p_t, unpack, targets, starts, failure):
                 + [chi - xi * cross / rho_rs])
 
     residual = None
-    for z0 in starts:
-        try:
-            sol = root(equations, z0, method="hybr", tol=1e-13)
-        except DomainError as exc:
-            residual = exc
-            continue
-        residual = sol.fun
-        if sol.success and np.max(np.abs(sol.fun)) < 1e-9:
-            return unpack(sol.x)[:2]
+    # a hybr step that overflows exp gives a NaN state: DomainError drops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z0 in starts:
+            try:
+                sol = root(equations, z0, method="hybr", tol=1e-13)
+            except DomainError as exc:
+                residual = exc
+                continue
+            residual = sol.fun
+            if sol.success and np.max(np.abs(sol.fun)) < 1e-9:
+                return unpack(sol.x)[:2]
     raise ConfigurationError(f"{failure} (last residual {residual})")
 
 
@@ -618,7 +620,8 @@ def _tune_constellation(spec, p_t, eta_t):
         "for this support and load")
 
 
-def solution_at(spec: ScenarioSpec, chi, p) -> RsSolution:
+def solution_at(spec: ScenarioSpec, chi, p,
+                moments_fn=scenario_moments) -> RsSolution:
     """Evaluate the fixed-point state at (chi, p) and report its residuals.
 
     Used by tuning, which knows the fixed point in closed form, including
@@ -626,8 +629,7 @@ def solution_at(spec: ScenarioSpec, chi, p) -> RsSolution:
     in chi >= 0) cannot reach.
     """
     xi, rho_rs = _rs_state(spec, chi, p)
-    power, cross, eta = scenario_moments(spec.penalty, spec.support, xi,
-                                         rho_rs)
+    power, cross, eta = moments_fn(spec.penalty, spec.support, xi, rho_rs)
     residuals = {"chi": abs(xi * cross / rho_rs - chi), "p": abs(power - p)}
     return RsSolution(chi=float(chi), p=float(p), rho_rs=rho_rs, xi=xi,
                       distortion=rs_distortion(spec, chi, p),

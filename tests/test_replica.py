@@ -142,8 +142,13 @@ def test_mpsk_moments_match_phase_quadrature(order, lam, peak, xi, rho_rs):
     # 1 + xi*lambda2 = -0.35 on M-PSK
     (PenaltySpec(lambda2=-0.9), SupportSpec.mpsk_zero(3, 2.5), 1.5),
     (PenaltySpec(lambda2=-0.9), SupportSpec.mpsk_zero(8, 2.5), 1.5),
+    # NaN states, such as lambda2 = inf/inf from an overflowing tune iterate
+    (PenaltySpec(lambda2=np.nan), SupportSpec.mpsk_zero(2, 2.5), 1.5),
+    (PenaltySpec(lambda2=0.2, lambda1=0.3), FULL, np.nan),
+    (PenaltySpec(lambda2=0.2, lambda1=np.nan), SupportSpec.disk(2.5), 1.5),
 ], ids=["bpsk", "qpsk", "const_envelope", "full_l1", "disk_l1", "full_l0",
-        "disk_l0", "full_l1_negative", "disk_l0_negative", "mpsk3", "mpsk8"])
+        "disk_l0", "full_l1_negative", "disk_l0_negative", "mpsk3", "mpsk8",
+        "bpsk_nan", "full_l1_nan_xi", "disk_l1_nan_weight"])
 def test_moments_raise_outside_the_scalar_domain(penalty, support, xi):
     # both moment paths share the scalar minimizer's domain rule
     with pytest.raises(DomainError):

@@ -51,6 +51,8 @@ def test_binary_moments_raise_outside_the_scalar_domain():
     # 1 + xi*lambda2 = -0.5, as for the symmetric moments
     with pytest.raises(DomainError):
         _binary_moments(PenaltySpec(lambda2=-0.5), BPSK, 3.0, 1.0, 0.1, 2.0)
+    with pytest.raises(DomainError):
+        _binary_moments(PenaltySpec(lambda2=0.2), BPSK, np.nan, 1.0, 0.1, 2.0)
 
 
 def test_forced_c_zero_matches_rs_for_untuned_weights():
