@@ -327,16 +327,16 @@ def run_sweep(config: SweepConfig, n_workers=1):
     """
     records = []
     for point in config.grid:
-        support = None
+        rec = ExperimentRecord(
+            alpha_inv=point.alpha_inv, eta_target=point.eta,
+            power_target=point.power, rho=point.rho,
+            scenario=str(config.scenario.get("kind")))
         try:
             support = _support_for(config.scenario, point)
-            rec = ExperimentRecord(
-                alpha_inv=point.alpha_inv, eta_target=point.eta,
-                power_target=point.power, rho=point.rho,
-                scenario=_scenario_label(config.scenario, support),
-                peak_power=(None if support.kind == FULL
-                            else support.peak_power),
-                order=support.order if support.kind == MPSK_ZERO else None)
+            rec.scenario = _scenario_label(config.scenario, support)
+            rec.peak_power = (None if support.kind == FULL
+                              else support.peak_power)
+            rec.order = support.order if support.kind == MPSK_ZERO else None
             base = ScenarioSpec(penalty=PenaltySpec(), support=support,
                                 load=1.0 / point.alpha_inv, rho=point.rho)
             pen, sol = tune(base, point.power, point.eta,
@@ -357,16 +357,10 @@ def run_sweep(config: SweepConfig, n_workers=1):
                                         load=base.load, rho=point.rho)
                     rec.d_rsb = solve_rsb1(spec).distortion
             if config.mc is not None:
-                spec_pen = pen
                 (rec.mc_d_mean, rec.mc_d_stderr, rec.mc_power, rec.mc_eta,
                  rec.n_trials, rec.seed) = _mc_batch(
-                     point, spec_pen, support, config.mc, n_workers)
+                     point, pen, support, config.mc, n_workers)
         except (ConfigurationError, ConvergenceError, DomainError) as exc:
-            if support is None:
-                rec = ExperimentRecord(
-                    alpha_inv=point.alpha_inv, eta_target=point.eta,
-                    power_target=point.power, rho=point.rho,
-                    scenario=str(config.scenario.get("kind")))
             rec.error = f"{type(exc).__name__}: {exc}"
         records.append(rec)
     return records

@@ -10,7 +10,7 @@ Two independent code paths compute the Gaussian moments: analytic
 expressions per scenario (solve_rs_scenario) and numerical quadrature
 driven by the scalar minimizer itself (solve_rs_generic). The quadrature
 integrates along rays of the input plane, one ray for the phase-equivariant
-supports and 48 Gauss-Legendre phases for M-PSK, with an array-valued
+supports and Gauss-Legendre panels of phases for M-PSK, with an array-valued
 adaptive Gauss-Legendre rule that calls the scalar minimizer once per
 refinement level on all panels of all rays.
 """
@@ -231,8 +231,15 @@ def scenario_moments(penalty, support, xi, rho_rs):
 # s ~ CN(0, rho_rs), so each moment is an integral against e^{-u} du over
 # the activity segments of the ray.
 
-_RAY_NODES, _RAY_WEIGHTS = roots_legendre(48)  # M-PSK phases in [0, pi/M]
 _PANEL_NODES, _PANEL_WEIGHTS = roots_legendre(16)
+# M-PSK phases as fractions of [0, pi/M]: 16-point panels halving toward
+# pi/M down to 2^-10 of the interval, since the BPSK ray integrand
+# exp(-h^2/(2 cos^2 theta)) is not analytic at theta = pi/2
+_PHASE_EDGES = np.append(1.0 - 0.5 ** np.arange(11), 1.0)
+_PHASE_HALF = 0.5 * np.diff(_PHASE_EDGES)[:, None]
+_PHASE_NODES = (0.5 * (_PHASE_EDGES[:-1] + _PHASE_EDGES[1:])[:, None]
+                + _PHASE_HALF * _PANEL_NODES).ravel()
+_PHASE_WEIGHTS = (_PHASE_HALF * _PANEL_WEIGHTS).ravel()
 _PANEL_WIDTH = 2.0  # widest initial panel in u
 _PANEL_TOL = 1e-14  # per panel, relative to the moment
 _MAX_LEVELS = 40  # panel halvings before the integrator gives up
@@ -345,23 +352,16 @@ def generic_moments(penalty, support, xi, rho_rs):
     """(power, cross, eta) by quadrature over the scalar minimizer.
 
     Phase-equivariant supports need one ray; the zero-extended M-PSK
-    constellation is averaged over 48 Gauss-Legendre phases in [0, pi/M],
-    to which symmetry and rotation fold the phase.
-
-    The phase rule limits BPSK: its integrand exp(-h^2/(2 cos^2 theta))
-    is not analytic at theta = pi/2, so the error in eta grows with the
-    activity (h the threshold in units of the per-component deviation).
-    Against Craig's 2Q(h), eta errs by 3e-14 relative at activity 0.17,
-    2e-11 at 0.5, 1.3e-8 at 0.80 and 1.5e-5 at 0.975 (2.4e-6 at 0.98,
-    5e-5 at 0.99; the error oscillates in h).
+    constellation is averaged over phases in [0, pi/M], to which symmetry
+    and rotation fold the phase, by 16-point Gauss-Legendre panels that
+    halve toward pi/M (176 rays for every M).
     """
     def profile(s):
         return decouple(s, xi, penalty, support)
 
     if support.kind == MPSK_ZERO:
-        half = np.pi / support.order
-        phases = np.exp(0.5j * half * (_RAY_NODES + 1.0))
-        weights = 0.5 * _RAY_WEIGHTS  # (pi/M)/2 per node times M/pi
+        phases = np.exp(1j * np.pi / support.order * _PHASE_NODES)
+        weights = _PHASE_WEIGHTS  # they sum to 1: the mean over the phase
     else:
         phases = weights = np.ones(1)
     return tuple(float(weights @ m)
@@ -569,7 +569,7 @@ def _tune_disk(spec, p_t, eta_t, sparsity):
             init_pen, chi0 = _tune_full_l0(spec, p_t, eta_t)
         else:
             init_pen, chi0 = _tune_full_l1(spec, p_t, eta_t)
-    except (ConfigurationError, ConvergenceError):
+    except ConfigurationError:
         init_pen, chi0 = PenaltySpec(lambda2=0.5, lambda0=0.1, lambda1=0.1), 1.0
 
     xi0 = (1.0 + chi0) / spec.load

@@ -5,7 +5,9 @@ one-step broken solution splits the decoupled input into an outer Gaussian
 s_rs and an inner tilted component s1, with the tilt weight
 Lambda = exp(-mu * min_v E(v | s_rs, s1)). The state is (chi, p, c, mu)
 with chi_tilde = chi + mu*c; mu solves a scalar stationarity equation
-nested outside the damped (chi, p, c) iteration.
+nested outside the damped (chi, p, c) iteration. Its root is bracketed by
+an upward scan of a geometric mu grid that stops at the first sign change
+between consecutive converged points, then refined by geometric bisection.
 
 One form of the saddle-point system is solved: chi_tilde + mu*p on the
 left of the second moment equation, s1 added to the effective input, and
@@ -319,12 +321,15 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
             scenarios are covered by the symmetric solver.
         force_c_zero: solve the degenerate c = 0 system through the broken
             machinery; the result must match the symmetric solver.
-        mu_bracket: search interval for the scalar mu equation.
+        mu_bracket: search interval for the scalar mu equation, scanned
+            upward on 20 geometric points up to the first sign change
+            between consecutive converged points, which is then bisected.
 
     Returns:
         RsbSolution minimizing the broken-state distortion among converged
         candidates. If every candidate collapses to c = 0 the breaking is
-        absent and the degenerate (symmetric) solution is returned.
+        absent and the degenerate (symmetric) solution is returned. If the
+        scan finds no sign change, ConvergenceError lists its residuals.
     """
     if spec.support.kind not in (MPSK_ZERO, CONST_ENVELOPE):
         raise ConfigurationError(
@@ -343,51 +348,38 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
     rs = solve_rs_scenario(spec)
     starts = tuple((rs.chi, rs.p, f * max(rs.p, 0.1))
                    for f in (0.02, 0.2, 1.0))
-    saw_degenerate = False
-
-    def converge_at(mu):
-        """Best nondegenerate inner fixed point at this mu, or None."""
-        nonlocal saw_degenerate
-        best, collapsed = _best_of_starts(spec, mu, starts, broken=True)
-        saw_degenerate |= collapsed
-        return best
-
     lo, hi = mu_bracket
-    mus = np.geomspace(lo, hi, 20)
-    states, values = {}, {}
-    for mu in mus:
-        st = converge_at(mu)
-        if st is not None:
-            states[mu] = st
-            values[mu] = _mu_residual(spec, mu, st)
-    keys = sorted(states)
-    bracket = None
-    for a, b in zip(keys, keys[1:]):
-        if values[a] == 0.0 or np.sign(values[a]) != np.sign(values[b]):
-            bracket = (a, b)
+    # (a, fa) is the last converged grid point below mu
+    residuals, saw_degenerate = {}, False
+    for mu in np.geomspace(lo, hi, 20):
+        st, collapsed = _best_of_starts(spec, mu, starts, broken=True)
+        saw_degenerate |= collapsed
+        if st is None:
+            continue
+        f = _mu_residual(spec, mu, st)
+        if residuals and (fa == 0.0 or np.sign(fa) != np.sign(f)):
             break
-    if bracket is None:
-        if not states and saw_degenerate:
+        a, fa = mu, f
+        residuals[float(mu)] = float(f)
+    else:
+        if not residuals and saw_degenerate:
             return _forced_rs(spec)
         raise ConvergenceError(
             "no root of the mu equation in the bracket; widen mu_bracket",
-            {"mu_residuals": {float(k): float(values[k]) for k in keys}})
+            {"mu_residuals": residuals})
 
-    # geometric bisection; (mu, st) is the last mu solved and its state
-    a, b = bracket
-    fa = values[a]
-    mu, st = b, states[b]
+    # geometric bisection of [a, b]; (mu, st, f) is the last mu solved
+    b = mu
     for _ in range(80):
         mid = np.sqrt(a * b)
-        cand = converge_at(mid)
+        cand, _ = _best_of_starts(spec, mid, starts, broken=True)
         if cand is None:
             break
-        fm = _mu_residual(spec, mid, cand)
-        mu, st = mid, cand
-        if fm == 0.0 or (b - a) < 1e-6 * b:
+        mu, st, f = mid, cand, _mu_residual(spec, mid, cand)
+        if f == 0.0 or (b - a) < 1e-6 * b:
             break
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
+        if np.sign(f) == np.sign(fa):
+            a, fa = mid, f
         else:
             b = mid
-    return _solution(spec, mu, st, {"mu": abs(_mu_residual(spec, mu, st))})
+    return _solution(spec, mu, st, {"mu": abs(f)})

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
@@ -90,6 +91,22 @@ def test_constellation_moments_match_craig(lam, peak, xi, rho_rs):
     _, _, eta4 = scenario_moments(
         PenaltySpec(lambda2=lam), SupportSpec.mpsk_zero(4, peak), xi, rho_rs)
     assert eta4 == pytest.approx(4.0 * q - 4.0 * q * q, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("activity", [0.8, 0.975, 0.99])
+def test_bpsk_quadrature_matches_craig_at_high_activity(activity):
+    # the phase integrand exp(-h^2/(2 cos^2 theta)) is not analytic at
+    # pi/2; h, tau0 in units of the deviation of Re s, is set by the
+    # activity 2Q(h)
+    peak, xi, rho_rs = 2.5, 1.5, 1.0
+    h = -ndtri(0.5 * activity)
+    lam = (h * np.sqrt(2.0 * rho_rs / peak) - 1.0) / xi
+    num = generic_moments(PenaltySpec(lambda2=lam),
+                          SupportSpec.mpsk_zero(2, peak), xi, rho_rs)
+    q = qfunc(h)
+    cross = np.sqrt(peak * rho_rs / np.pi) * np.exp(-0.5 * h * h)
+    np.testing.assert_allclose(num, [peak * 2.0 * q, cross, 2.0 * q],
+                               rtol=1e-12, atol=0)
 
 
 def _phase_quadrature(lam, peak, order, xi, rho_rs):
@@ -315,10 +332,8 @@ def test_tune_constellation_finds_the_coercive_root():
     pen, sol = tune(spec, 0.7 * 2.5, 0.7)
     assert 1.0 + sol.xi * pen.lambda2 > 0
     assert sol.eta == pytest.approx(0.7, rel=1e-12)
-    # the quadrature path agrees to its BPSK phase-rule accuracy (about
-    # 1e-9 relative at activity 0.7; see generic_moments)
     _, _, eta = generic_moments(pen, sup, sol.xi, sol.rho_rs)
-    assert eta == pytest.approx(0.7, rel=1e-8)
+    assert eta == pytest.approx(0.7, rel=1e-10)
 
 
 def test_tune_constellation_unreachable_target_is_configuration_error():

@@ -4,7 +4,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import logsumexp
 
 from glse import rsb
-from glse.errors import ConfigurationError, DomainError
+from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (ScenarioSpec, rs_distortion, solve_rs_scenario,
                           tune)
@@ -98,6 +98,60 @@ def test_failed_bisection_step_returns_a_solved_mu(monkeypatch):
     assert (sol.chi, sol.p, sol.c, sol.distortion) == (
         state[0], state[1], state[2], state[-1])
     assert len(calls) == len(set(calls))
+
+
+def _recording_best_of_starts(monkeypatch):
+    """Wrap rsb._best_of_starts; returns the list of mus it is called at."""
+    calls, best_of_starts = [], rsb._best_of_starts
+
+    def recorded(spec, mu, starts, broken):
+        calls.append(mu)
+        return best_of_starts(spec, mu, starts, broken)
+
+    monkeypatch.setattr(rsb, "_best_of_starts", recorded)
+    return calls
+
+
+def test_mu_scan_stops_at_the_first_sign_change(monkeypatch):
+    # the rsb_bpsk benchmark spec: the mu residual changes sign between the
+    # 11th and 12th grid points (6.479 and 6.799), so no grid point above
+    # them is solved; the bisection stays inside that pair
+    spec, _ = _tuned(BPSK, 2.5)
+    grid = np.geomspace(4.0, 10.0, 20)
+    calls = _recording_best_of_starts(monkeypatch)
+    sol = solve_rsb1(spec, mu_bracket=(4.0, 10.0))
+    assert [mu for mu in calls if mu in set(grid)] == list(grid[:12])
+    assert max(calls) == grid[11]
+    assert sol.mu == pytest.approx(6.6314735457531215, rel=1e-12)
+    assert sol.distortion == pytest.approx(0.20805923018753844, rel=1e-12)
+
+
+def test_mu_scan_without_sign_change_lists_every_residual(monkeypatch):
+    spec, _ = _tuned(BPSK, 2.5)
+    grid = np.geomspace(4.0, 6.0, 20)
+    calls = _recording_best_of_starts(monkeypatch)
+    with pytest.raises(ConvergenceError, match="widen mu_bracket") as err:
+        solve_rsb1(spec, mu_bracket=(4.0, 6.0))
+    assert calls == list(grid)
+    residuals = err.value.residuals["mu_residuals"]
+    assert list(residuals) == [float(mu) for mu in grid]
+    assert len(set(np.sign(list(residuals.values())))) == 1
+
+
+def test_collapsed_scan_returns_the_degenerate_solve(monkeypatch):
+    # no grid point keeps c > 0 and some start collapses to c = 0: the
+    # breaking is absent and the degenerate solve is the answer
+    spec, _ = _tuned(BPSK, 2.5)
+    best_of_starts = rsb._best_of_starts
+
+    def collapsing(spec, mu, starts, broken):
+        if broken:
+            return None, True
+        return best_of_starts(spec, mu, starts, broken)
+
+    monkeypatch.setattr(rsb, "_best_of_starts", collapsing)
+    forced = solve_rsb1(spec, force_c_zero=True)
+    assert solve_rsb1(spec) == forced
 
 
 def _gauss_legendre(points, width):
