@@ -105,6 +105,15 @@ def _cmd_bound(args):
     return 0
 
 
+def _positive_int(text):
+    """argparse type for counts: an int >= 1 (argparse exits 2 otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _add_scenario_args(sub, need_penalty=True):
     sub.add_argument("--kind", choices=[FULL, DISK, MPSK_ZERO], default=FULL)
     sub.add_argument("--alpha-inv", type=float, required=True)
@@ -142,14 +151,14 @@ def build_parser():
     p = subs.add_parser("simulate", help="one Monte Carlo batch")
     _add_scenario_args(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("sweep", help="full sweep config to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("bound", help="distortion lower bound and rate bound")

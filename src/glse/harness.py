@@ -14,12 +14,10 @@ is solved in, bit for bit.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .finite import (glse_convex_stack, glse_exhaustive_discrete,
@@ -309,6 +307,8 @@ def _mc_batch(point, penalty, support, mc, n_workers):
     args = [(n, k, point.rho, penalty, support, seeds[i:i + size], cap)
             for i in range(0, n_channels, size)]
     if n_workers > 1:
+        # deferred: a serial batch never starts a pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(run_trials, *zip(*args)))
     else:
@@ -425,6 +425,9 @@ def fit_equivalent_eta(alpha_invs, distortions, target_power, rho,
     Returns:
         (eta_fit, mean_sq_db_residual).
     """
+    # deferred: no sweep calls this fit, so sweeps never load scipy.optimize
+    from scipy.optimize import minimize_scalar
+
     alpha_invs = np.asarray(alpha_invs, dtype=float)
     distortions = np.asarray(distortions, dtype=float)
     if alpha_invs.shape != distortions.shape or alpha_invs.size == 0:

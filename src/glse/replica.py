@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import root
 from scipy.special import erfc, lambertw, ndtr, owens_t, roots_legendre
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
@@ -499,6 +498,9 @@ def _tune_root(spec, p_t, unpack, targets, starts, failure):
     1e-9; a start whose iterate leaves the scalar problem's domain is
     dropped. Raises ConfigurationError when no start gives a root.
     """
+    # deferred: full-plane tune is closed form, so full-plane sweeps skip it
+    from scipy.optimize import root
+
     rho_rs = (spec.rho + p_t) / spec.load
 
     def equations(z):

@@ -121,10 +121,12 @@ def _binary_inner(t0, theta, a, v):
     half = 0.5 * a * a * v
     # active region t > theta, tilt exp(a(t - theta))
     x_a = (theta - t0 - a * v) / s
-    l_a = a * (t0 - theta) + half + log_ndtr(-x_a)
+    tilt_a, lg_a = a * (t0 - theta), log_ndtr(-x_a)
+    l_a = tilt_a + half + lg_a
     # active region t < -theta, tilt exp(-a(t + theta))
     x_b = (-theta - t0 + a * v) / s
-    l_b = -a * (t0 + theta) + half + log_ndtr(x_b)
+    tilt_b, lg_b = -a * (t0 + theta), log_ndtr(x_b)
+    l_b = tilt_b + half + lg_b
     # dead zone, tilt 1
     z_c = ndtr((theta - t0) / s) - ndtr((-theta - t0) / s)
     with np.errstate(divide="ignore"):
@@ -137,11 +139,9 @@ def _binary_inner(t0, theta, a, v):
     with np.errstate(divide="ignore"):
         log_av = np.log(a * v)
     phi_a = -0.5 * x_a * x_a - 0.5 * _LOG_2PI
-    m_a = (np.logaddexp(log_av + log_ndtr(-x_a), np.log(s) + phi_a)
-           + a * (t0 - theta) + half)
+    m_a = np.logaddexp(log_av + lg_a, np.log(s) + phi_a) + tilt_a + half
     phi_b = -0.5 * x_b * x_b - 0.5 * _LOG_2PI
-    m_b = (np.logaddexp(log_av + log_ndtr(x_b), np.log(s) + phi_b)
-           - a * (t0 + theta) + half)
+    m_b = np.logaddexp(log_av + lg_b, np.log(s) + phi_b) + tilt_b + half
     m_plus = np.exp(m_a - log_z)
     m_minus = -np.exp(m_b - log_z)
     return log_z, e_plus, e_minus, m_plus, m_minus
@@ -177,11 +177,10 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
     log_z, e_p, e_m, m_p, m_m = _binary_inner(t0, theta, a, v)
     pdf = np.exp(-0.5 * t0 * t0 / v0) / np.sqrt(2.0 * np.pi * v0)
     w = wt * pdf
-    act = e_p + e_m
-    m_pc = support.peak_power * float(np.sum(w * act))
+    eta = float(np.sum(w * (e_p + e_m)))
+    m_pc = support.peak_power * eta
     m0 = root_p * float(np.sum(w * t0 * (e_p - e_m)))
     m1 = root_p * float(np.sum(w * (m_p - m_m)))
-    eta = float(np.sum(w * act))
     log_z_mean = float(np.sum(w * log_z))
     return m_pc, m0, m1, eta, log_z_mean
 
@@ -310,7 +309,8 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
 
     Solves the saddle-point system in the one form described in the module
     docstring. The broken solve covers the binary constellation, with
-    closed-form inner integrals and adaptive outer quadrature; it raises
+    closed-form inner integrals and fixed composite Gauss-Legendre outer
+    panels, narrowed to width 1/a past _SHARP_TILT; it raises
     ConfigurationError for larger constellations and constant envelope.
     The degenerate solve (force_c_zero) covers every constellation and
     constant envelope.

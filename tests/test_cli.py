@@ -57,6 +57,22 @@ def test_simulate_accepts_sweep_integral_users(capsys):
     assert json.loads(capsys.readouterr().out)["n_trials"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha-inv", "2", "--n", "16", "--trials", "0"],
+    ["sweep", "--config", "unused.yaml", "--workers", "0"],
+    ["sweep", "--config", "unused.yaml", "--workers", "-2"],
+])
+def test_counts_below_one_exit_2(capsys, argv):
+    # zero trials would print NaN means (not valid JSON), and zero or
+    # negative workers would run serially without a word
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer >= 1" in captured.err
+
+
 def test_bound_command(capsys):
     rc = main(["bound", "--alpha-inv", "2", "--eta", "0.4",
                "--peak-power", "2.5", "--sigma2", "0.1",

@@ -1,0 +1,49 @@
+"""Import budget: a full-plane sweep runs without scipy.optimize or a pool.
+
+The check runs in a fresh interpreter, since this test process has
+already imported whatever the other tests needed.
+"""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+SCRIPT = """
+import contextlib, io, sys
+import glse, glse.cli
+from glse.cli import main
+
+config, output = sys.argv[1:3]
+assert main(["--strict", "sweep", "--config", config,
+             "--output", output]) == 0
+for name in ("scipy.optimize", "concurrent.futures.process"):
+    assert name not in sys.modules, f"{name} loaded by a full-plane sweep"
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["--strict", "tune", "--kind", "disk", "--peak-power", "2.5",
+               "--alpha-inv", "2", "--power", "0.5", "--eta", "0.7",
+               "--sparsity", "l1"])
+assert rc == 0, rc
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_full_plane_sweep_loads_no_optimizer_or_pool(tmp_path):
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(
+        "spec_version: '1'\n"
+        "scenario: {kind: full, sparsity: l1}\n"
+        "grid:\n"
+        "  - {alpha_inv: 2.0, eta: 0.7, power: 0.5}\n"
+        "mc: {n: 8, n_channels: 4, seed: 1}\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(cfg), str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 2
