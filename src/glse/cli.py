@@ -114,9 +114,17 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    """argparse type for --alpha-inv: a float > 0 (exits 2 otherwise)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {value}")
+    return value
+
+
 def _add_scenario_args(sub, need_penalty=True):
     sub.add_argument("--kind", choices=[FULL, DISK, MPSK_ZERO], default=FULL)
-    sub.add_argument("--alpha-inv", type=float, required=True)
+    sub.add_argument("--alpha-inv", type=_positive_float, required=True)
     sub.add_argument("--rho", type=float, default=1.0)
     sub.add_argument("--peak-power", type=float, default=None)
     sub.add_argument("--order", type=int, default=4)
@@ -150,7 +158,7 @@ def build_parser():
 
     p = subs.add_parser("simulate", help="one Monte Carlo batch")
     _add_scenario_args(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
@@ -162,7 +170,7 @@ def build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("bound", help="distortion lower bound and rate bound")
-    p.add_argument("--alpha-inv", type=float, required=True)
+    p.add_argument("--alpha-inv", type=_positive_float, required=True)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--peak-power", type=float, required=True)

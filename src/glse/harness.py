@@ -93,14 +93,22 @@ class SweepConfig:
                 f"(expected {SPEC_VERSION!r})")
         if len(self.grid) == 0:
             raise ConfigurationError("grid must be nonempty")
+        if not isinstance(self.scenario, dict):
+            raise ConfigurationError("scenario must be a mapping")
         kind = self.scenario.get("kind")
         if kind not in (FULL, DISK, MPSK_ZERO):
             raise ConfigurationError(f"unknown scenario kind {kind!r}")
         if self.mc is not None:
-            n = int(self.mc.get("n", 0))
+            if not isinstance(self.mc, dict):
+                raise ConfigurationError("mc must be a mapping")
+            try:  # _mc_batch reads the seed
+                n, n_channels, _ = (int(self.mc.get(key, 0))
+                                    for key in ("n", "n_channels", "seed"))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"mc: {exc}") from exc
             if n <= 0:
                 raise ConfigurationError("mc.n must be a positive integer")
-            if int(self.mc.get("n_channels", 0)) <= 0:
+            if n_channels <= 0:
                 raise ConfigurationError("mc.n_channels must be positive")
             for point in self.grid:
                 users_for(n, point.alpha_inv)

@@ -27,9 +27,6 @@ from .penalties import (DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec,
                         check_covered, check_domain, decouple)
 from .rmt import UNIT_ATOMS, r_transform, r_transform_derivative
 
-_DAMPING = 0.5
-_TOL = 1e-10
-_MAX_ITER = 10_000
 CHI_INITS = (0.1, 1.0, 10.0)
 P_INIT_FACTORS = (0.1, 1.0, 10.0)
 
@@ -58,7 +55,12 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class RsSolution:
-    """Converged replica-symmetric state and derived quantities."""
+    """Replica-symmetric state and derived quantities.
+
+    From solve_rs_*, the first hybr root over the starts; from tune, the
+    tuned closed-form or root-found state. residuals holds |step - x| per
+    unknown ("chi", "p") at the returned state (solution_at).
+    """
 
     chi: float
     p: float
@@ -368,85 +370,62 @@ def generic_moments(penalty, support, xi, rho_rs):
 
 
 # ---------------------------------------------------------------------------
-# fixed-point driver
+# root-finder
 # ---------------------------------------------------------------------------
 
-def _damped_fixed_point(step, x0, tol, max_iter, bound):
-    """Damped Picard iteration x <- max(x + _DAMPING*(x_new - x), 0).
+def _hybr_root(equations, starts, error, failure):
+    """The first hybr root of equations over the starts, tried in order.
 
-    step(x) maps the state tuple to (x_new, info), where info is whatever
-    the caller needs from the last evaluation; a DomainError from step ends
-    the iteration. The state must stay finite and each entry at most its
-    bound. Converges when every residual |x_new - x| is below tol.
-
-    Returns (x, residuals, info, converged): the last state, the residuals
-    and info of the last completed step (inf and None before the first),
-    and whether it converged within max_iter steps.
+    A root counts when hybr reports success and every residual is below
+    1e-9; a start whose iterate leaves the scalar problem's domain
+    (DomainError) is dropped. When no start gives a root, raises error with
+    the failure message and the last residual.
     """
-    x = tuple(float(v) for v in x0)
-    residuals, info = (np.inf,) * len(x), None
+    # deferred: a full-plane sweep makes no RS solve and tunes in closed form
+    from scipy.optimize import root
+
+    residual = None
+    # a hybr step that overflows exp gives a NaN state: DomainError drops it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_iter):
-            if not all(np.isfinite(v) and v <= b for v, b in zip(x, bound)):
-                return x, residuals, info, False
+        for z0 in starts:
             try:
-                x_new, info = step(x)
-            except DomainError:
-                return x, residuals, info, False
-            if not all(np.isfinite(v) for v in x_new):
-                return x, residuals, info, False
-            residuals = tuple(abs(n - v) for n, v in zip(x_new, x))
-            x = tuple(max(v + _DAMPING * (n - v), 0.0)
-                      for n, v in zip(x_new, x))
-            if max(residuals) < tol:
-                return x, residuals, info, True
-    return x, residuals, info, False
-
-
-def _rs_fixed_point(spec, moments_fn, chi0, p0):
-    """Damped iteration on (chi, p). Returns (chi, p, residuals, converged)."""
-    def step(x):
-        xi, rho_rs = _rs_state(spec, *x)
-        power, cross, _ = moments_fn(spec.penalty, spec.support, xi, rho_rs)
-        return (xi * cross / rho_rs, power), None
-
-    (chi, p), res, _, ok = _damped_fixed_point(step, (chi0, p0), _TOL,
-                                               _MAX_ITER, (1e12, 1e12))
-    return chi, p, dict(zip(("chi", "p"), res)), ok
+                sol = root(equations, z0, method="hybr", tol=1e-13)
+            except DomainError as exc:
+                residual = exc
+                continue
+            residual = sol.fun
+            if sol.success and np.max(np.abs(sol.fun)) < 1e-9:
+                return sol.x
+    raise error(f"{failure} (last residual {residual})")
 
 
 def _solve_rs(spec, moments_fn, inits):
     if inits is None:
         inits = [(c, f * spec.rho) for c in CHI_INITS for f in P_INIT_FACTORS]
-    solutions = []
-    last_res = {}
-    for chi0, p0 in inits:
-        chi, p, res, ok = _rs_fixed_point(spec, moments_fn, chi0, p0)
-        last_res = res
-        if not ok:
-            continue
-        if any(abs(chi - s[0]) < 1e-7 and abs(p - s[1]) < 1e-7
-               for s in solutions):
-            continue
-        solutions.append((chi, p, res))
-    if not solutions:
-        raise ConvergenceError(
-            "replica-symmetric fixed point did not converge", last_res)
-    best = min(solutions, key=lambda s: rs_distortion(spec, s[0], s[1]))
-    chi, p, res = best
-    xi, rho_rs = _rs_state(spec, chi, p)
-    _, _, eta = moments_fn(spec.penalty, spec.support, xi, rho_rs)
-    return RsSolution(chi=chi, p=p, rho_rs=rho_rs, xi=xi,
-                      distortion=rs_distortion(spec, chi, p),
-                      eta=float(eta), residuals=res, rho=spec.rho)
+    if not all(chi0 > 0 and p0 > 0 for chi0, p0 in inits):
+        raise ConfigurationError(
+            f"replica-symmetric starts need chi0 > 0 and p0 > 0: {inits}")
+
+    def equations(z):
+        xi, rho_rs = _rs_state(spec, *np.exp(z))
+        power, cross, _ = moments_fn(spec.penalty, spec.support, xi, rho_rs)
+        return np.log([xi * cross / rho_rs, power]) - z
+
+    z = _hybr_root(equations, np.log(inits), ConvergenceError,
+                   "replica-symmetric fixed point did not converge")
+    return solution_at(spec, *np.exp(z), moments_fn)
 
 
 def solve_rs_scenario(spec: ScenarioSpec, inits=None) -> RsSolution:
     """Replica-symmetric fixed point using the analytic scenario moments.
 
-    A start whose iterate leaves the scalar problem's domain, where
-    scenario_moments raises DomainError, is dropped like any diverging
-    start.
+    hybr (_hybr_root) solves log(step(e^z)) - z = 0 in z = (log chi, log p),
+    step being the fixed-point map, from each start (chi0, p0) of inits in
+    turn (default: CHI_INITS by P_INIT_FACTORS times rho). The first start
+    that converges wins, not the lowest distortion among roots; a start
+    that leaves the domain (scenario_moments raises DomainError) is
+    dropped. A start not > 0 raises ConfigurationError, and no converged
+    start ConvergenceError. residuals holds |step - (chi, p)| at the root.
     """
     return _solve_rs(spec, scenario_moments, inits)
 
@@ -458,9 +437,8 @@ def solve_rs_generic(spec: ScenarioSpec, inits=None) -> RsSolution:
     integrated numerically with the scalar minimizer as a black box
     (generic_moments), for every support including the constellations.
     Each panel of the adaptive rule is resolved to 1e-14 of the moment;
-    a moment that does not resolve raises ConvergenceError. A start whose
-    iterate leaves the scalar problem's domain, where the scalar minimizer
-    raises DomainError, is dropped like any diverging start.
+    a moment that does not resolve raises ConvergenceError. Root-finder,
+    starts, first-start rule and residuals are those of solve_rs_scenario.
     """
     return _solve_rs(spec, generic_moments, inits)
 
@@ -494,13 +472,8 @@ def _tune_root(spec, p_t, unpack, targets, starts, failure):
     moment names "power" and "eta" to their targets. The equations are
     moment - target for each entry of targets, in its order, then the chi
     equation of the fixed point, with rho_rs pinned by the power target.
-    A root counts when hybr reports success and every residual is below
-    1e-9; a start whose iterate leaves the scalar problem's domain is
-    dropped. Raises ConfigurationError when no start gives a root.
+    The root is _hybr_root's, with ConfigurationError(failure) if none.
     """
-    # deferred: full-plane tune is closed form, so full-plane sweeps skip it
-    from scipy.optimize import root
-
     rho_rs = (spec.rho + p_t) / spec.load
 
     def equations(z):
@@ -510,19 +483,8 @@ def _tune_root(spec, p_t, unpack, targets, starts, failure):
         return ([moments[k] - v for k, v in targets.items()]
                 + [chi - xi * cross / rho_rs])
 
-    residual = None
-    # a hybr step that overflows exp gives a NaN state: DomainError drops it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for z0 in starts:
-            try:
-                sol = root(equations, z0, method="hybr", tol=1e-13)
-            except DomainError as exc:
-                residual = exc
-                continue
-            residual = sol.fun
-            if sol.success and np.max(np.abs(sol.fun)) < 1e-9:
-                return unpack(sol.x)[:2]
-    raise ConfigurationError(f"{failure} (last residual {residual})")
+    return unpack(_hybr_root(equations, starts, ConfigurationError,
+                             failure))[:2]
 
 
 def _unpack_shrink_chi(spec):
@@ -627,8 +589,8 @@ def solution_at(spec: ScenarioSpec, chi, p,
     """Evaluate the fixed-point state at (chi, p) and report its residuals.
 
     Used by tuning, which knows the fixed point in closed form, including
-    continued branches with chi < -1 that the damped iteration (which stays
-    in chi >= 0) cannot reach.
+    continued branches with chi < -1 that the RS solve (which works in
+    log chi, so chi > 0) cannot reach, and by the RS solve at its root.
     """
     xi, rho_rs = _rs_state(spec, chi, p)
     power, cross, eta = moments_fn(spec.penalty, spec.support, xi, rho_rs)

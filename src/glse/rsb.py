@@ -40,11 +40,11 @@ from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import CONST_ENVELOPE, MPSK_ZERO, check_covered, check_domain
-from .replica import (ScenarioSpec, _damped_fixed_point, _panel_edges, _w,
-                      _w_prime, rs_distortion, scenario_moments,
-                      solve_rs_scenario)
+from .replica import (ScenarioSpec, _panel_edges, _w, _w_prime,
+                      rs_distortion, scenario_moments, solve_rs_scenario)
 from .rmt import _validate_atoms
 
+_DAMPING = 0.5
 _TOL = 1e-9
 _MAX_ITER = 4000
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -188,6 +188,38 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
 # ---------------------------------------------------------------------------
 # fixed-point drivers
 # ---------------------------------------------------------------------------
+
+def _damped_fixed_point(step, x0, tol, max_iter, bound):
+    """Damped Picard iteration x <- max(x + _DAMPING*(x_new - x), 0).
+
+    step(x) maps the state tuple to (x_new, info), where info is whatever
+    the caller needs from the last evaluation; a DomainError from step ends
+    the iteration. The state must stay finite and each entry at most its
+    bound. Converges when every residual |x_new - x| is below tol.
+
+    Returns (x, residuals, info, converged): the last state, the residuals
+    and info of the last completed step (inf and None before the first),
+    and whether it converged within max_iter steps.
+    """
+    x = tuple(float(v) for v in x0)
+    residuals, info = (np.inf,) * len(x), None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_iter):
+            if not all(np.isfinite(v) and v <= b for v, b in zip(x, bound)):
+                return x, residuals, info, False
+            try:
+                x_new, info = step(x)
+            except DomainError:
+                return x, residuals, info, False
+            if not all(np.isfinite(v) for v in x_new):
+                return x, residuals, info, False
+            residuals = tuple(abs(n - v) for n, v in zip(x_new, x))
+            x = tuple(max(v + _DAMPING * (n - v), 0.0)
+                      for n, v in zip(x_new, x))
+            if max(residuals) < tol:
+                return x, residuals, info, True
+    return x, residuals, info, False
+
 
 def _rsb_state(spec, chi, p, mu, c):
     """(xi, rho_rs, rho1, chi_tilde) implied by the current iterate."""

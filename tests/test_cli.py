@@ -61,16 +61,34 @@ def test_simulate_accepts_sweep_integral_users(capsys):
     ["simulate", "--alpha-inv", "2", "--n", "16", "--trials", "0"],
     ["sweep", "--config", "unused.yaml", "--workers", "0"],
     ["sweep", "--config", "unused.yaml", "--workers", "-2"],
+    ["simulate", "--alpha-inv", "2", "--n", "0"],
 ])
 def test_counts_below_one_exit_2(capsys, argv):
-    # zero trials would print NaN means (not valid JSON), and zero or
-    # negative workers would run serially without a word
+    # zero trials would print NaN means (not valid JSON), zero or
+    # negative workers would run serially without a word, and --n 0 ended
+    # in a ZeroDivisionError traceback
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "expected an integer >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["replica", "--lambda2", "0.5"],
+    ["tune", "--power", "0.5", "--eta", "0.3"],
+    ["simulate", "--n", "16", "--trials", "1", "--lambda2", "0.3"],
+    ["bound", "--eta", "0.4", "--peak-power", "2.5"],
+])
+def test_alpha_inv_not_positive_exits_2(capsys, argv):
+    # --alpha-inv 0 used to end in a ZeroDivisionError traceback (exit 1)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--alpha-inv", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a number > 0" in captured.err
 
 
 def test_bound_command(capsys):
@@ -121,6 +139,27 @@ def test_broken_solve_refuses_qpsk(capsys):
                "--rsb"])
     assert rc == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("scenario,mc", [
+    ("full", "{n: 16, n_channels: 2}"),
+    ("{kind: full}", "5"),
+    ("{kind: full}", "{n: abc, n_channels: 2}"),
+    ("{kind: full}", "{n: 16, n_channels: 2, seed: abc}"),
+], ids=["scenario_not_mapping", "mc_not_mapping", "mc_n_not_int",
+        "mc_seed_not_int"])
+def test_malformed_sweep_config_exits_2(tmp_path, capsys, scenario, mc):
+    # each of these used to end in a traceback (exit 1)
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(
+        "spec_version: '1'\n"
+        f"scenario: {scenario}\n"
+        "grid:\n"
+        "  - {alpha_inv: 2.0, eta: 0.7, power: 0.5}\n"
+        f"mc: {mc}\n")
+    assert main(["sweep", "--config", str(cfg),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_strict_flag_on_solver_failure(tmp_path):

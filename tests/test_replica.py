@@ -4,12 +4,12 @@ from scipy.special import ndtri
 
 from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
-from glse.replica import (ScenarioSpec, _active_segments, _damped_fixed_point,
-                          _ray_moments, _tune_root, _unpack_shrink_chi,
-                          generic_moments, heuristic_rate, lemma2_bound,
-                          qfunc, random_tas_asymptote, rate_lower_bound,
-                          rs_distortion, scenario_moments, solve_rs_generic,
-                          solve_rs_scenario, tune)
+from glse.replica import (ScenarioSpec, _active_segments, _ray_moments,
+                          _tune_root, _unpack_shrink_chi, generic_moments,
+                          heuristic_rate, lemma2_bound, qfunc,
+                          random_tas_asymptote, rate_lower_bound,
+                          rs_distortion, scenario_moments, solution_at,
+                          solve_rs_generic, solve_rs_scenario, tune)
 
 FULL = SupportSpec.full_complex()
 
@@ -267,6 +267,42 @@ def test_scenario_vs_generic_fixed_point():
         assert a.distortion == pytest.approx(b.distortion, rel=1e-10)
 
 
+def _bpsk_rsb_spec():
+    # the benchmark's RSB point: BPSK, P 2.5, alpha_inv 2.5, eta 0.4
+    bpsk = SupportSpec.mpsk_zero(2, 2.5)
+    pen, _ = tune(_spec(PenaltySpec(), bpsk, load=0.4), 1.0, 0.4)
+    return _spec(pen, bpsk, load=0.4)
+
+
+@pytest.mark.parametrize("make_spec,inits,expected", [
+    (lambda: _spec(PenaltySpec(lambda2=1.0, lambda0=2.0),
+                   SupportSpec.disk(0.5), load=0.25), None, None),
+    (_quick_start_spec, None, (1.40291592786, 0.5)),
+    (_bpsk_rsb_spec, None, None),
+    # a second root of the quick-start spec, with lower distortion (0.2021
+    # against 0.2598); the default starts still return the tuned root
+    (_quick_start_spec, [(0.1, 10.0)], (3.3076835423, 2.7505691493)),
+], ids=["disk_l0", "quick_start", "bpsk_rsb", "quick_start_second_root"])
+def test_rs_solution_is_a_certified_root(make_spec, inits, expected):
+    spec = make_spec()
+    sol = solve_rs_scenario(spec, inits=inits)
+    check = solution_at(spec, sol.chi, sol.p)
+    assert check.residuals["chi"] <= 1e-12 * abs(sol.chi)
+    assert check.residuals["p"] <= 1e-12 * sol.p
+    assert sol.residuals == check.residuals
+    if expected is not None:
+        assert (sol.chi, sol.p) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("inits", [[(0.0, 1.0)], [(1.0, 0.5), (1.0, -0.5)]])
+def test_rs_starts_must_be_positive(inits):
+    # the root-find runs in (log chi, log p)
+    spec = _spec(PenaltySpec(lambda2=0.3, lambda1=0.5))
+    for solve in (solve_rs_scenario, solve_rs_generic):
+        with pytest.raises(ConfigurationError, match="starts"):
+            solve(spec, inits=inits)
+
+
 def test_distortion_decreases_with_inverse_load():
     ds = []
     for ai in (1.5, 2.0, 3.0, 4.0):
@@ -355,38 +391,6 @@ def test_tune_root_drops_a_start_outside_the_domain():
     with pytest.raises(ConfigurationError, match="no root"):
         _tune_root(spec, 1.0, unpack, {"eta": 0.4}, ([-800.0, 0.0],),
                    "no root")
-
-
-def test_damped_fixed_point_cases():
-    # x <- max(x + (step(x) - x)/2, 0) on the contraction x -> (1 + x)/2
-    # with the fixed point 1
-    def halve(x):
-        return ((1.0 + x[0]) / 2.0,), x[0]
-
-    x, res, info, ok = _damped_fixed_point(halve, (0.0,), 1e-12, 200,
-                                           (np.inf,))
-    assert ok and res[0] < 1e-12 and x[0] == pytest.approx(1.0, abs=2e-12)
-    # info is what the last step returned: the state it was given
-    assert info == pytest.approx(1.0, abs=1e-11)
-
-    def raising(x):
-        raise DomainError("outside the domain")
-
-    assert _damped_fixed_point(raising, (0.5,), 1e-12, 200, (np.inf,)) == (
-        (0.5,), (np.inf,), None, False)
-
-    # x -> 4x + 1 moves the damped iterate through 1, 3, 8, 20.5, which
-    # passes the bound 10 after the third step
-    def grow(x):
-        return (4.0 * x[0] + 1.0,), None
-
-    x, res, _, ok = _damped_fixed_point(grow, (1.0,), 1e-12, 200, (10.0,))
-    assert not ok and x == (20.5,) and res == (25.0,)
-
-    # the cap: the last state and the residual of its step
-    x, res, info, ok = _damped_fixed_point(halve, (0.0,), 1e-12, 2,
-                                           (np.inf,))
-    assert not ok and x == (0.4375,) and res == (0.375,) and info == 0.25
 
 
 def test_lemma2_bound_defining_equation():

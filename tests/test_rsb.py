@@ -8,7 +8,8 @@ from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (ScenarioSpec, rs_distortion, solve_rs_scenario,
                           tune)
-from glse.rsb import _binary_moments, rsb_distortion, solve_rsb1
+from glse.rsb import (_binary_moments, _damped_fixed_point,
+                      rsb_distortion, solve_rsb1)
 
 BPSK = SupportSpec.mpsk_zero(2, 2.5)
 QPSK = SupportSpec.mpsk_zero(4, 2.5)
@@ -213,3 +214,35 @@ def test_binary_moments_match_tilted_double_integral(xi, rho_rs, rho1, mu):
     closed = _binary_moments(penalty, BPSK, xi, rho_rs, rho1, mu)
     brute = _tilted_by_brute_force(penalty, xi, rho_rs, rho1, mu)
     np.testing.assert_allclose(closed, brute, rtol=1e-9, atol=0)
+
+
+def test_damped_fixed_point_cases():
+    # x <- max(x + (step(x) - x)/2, 0) on the contraction x -> (1 + x)/2
+    # with the fixed point 1
+    def halve(x):
+        return ((1.0 + x[0]) / 2.0,), x[0]
+
+    x, res, info, ok = _damped_fixed_point(halve, (0.0,), 1e-12, 200,
+                                           (np.inf,))
+    assert ok and res[0] < 1e-12 and x[0] == pytest.approx(1.0, abs=2e-12)
+    # info is what the last step returned: the state it was given
+    assert info == pytest.approx(1.0, abs=1e-11)
+
+    def raising(x):
+        raise DomainError("outside the domain")
+
+    assert _damped_fixed_point(raising, (0.5,), 1e-12, 200, (np.inf,)) == (
+        (0.5,), (np.inf,), None, False)
+
+    # x -> 4x + 1 moves the damped iterate through 1, 3, 8, 20.5, which
+    # passes the bound 10 after the third step
+    def grow(x):
+        return (4.0 * x[0] + 1.0,), None
+
+    x, res, _, ok = _damped_fixed_point(grow, (1.0,), 1e-12, 200, (10.0,))
+    assert not ok and x == (20.5,) and res == (25.0,)
+
+    # the cap: the last state and the residual of its step
+    x, res, info, ok = _damped_fixed_point(halve, (0.0,), 1e-12, 2,
+                                           (np.inf,))
+    assert not ok and x == (0.4375,) and res == (0.375,) and info == 0.25
