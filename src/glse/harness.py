@@ -76,6 +76,17 @@ class GridPoint:
             raise ConfigurationError("power and rho must be positive")
 
 
+def _config_int(value, name):
+    """An integer config entry as an int; ConfigurationError otherwise."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
+    if isinstance(value, float) and number != value:
+        raise ConfigurationError(f"{name} must be an integer, got {value}")
+    return number
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Scenario family, operating grid and Monte Carlo settings."""
@@ -98,18 +109,20 @@ class SweepConfig:
         kind = self.scenario.get("kind")
         if kind not in (FULL, DISK, MPSK_ZERO):
             raise ConfigurationError(f"unknown scenario kind {kind!r}")
+        if kind == MPSK_ZERO:  # _support_for reads the order
+            _config_int(self.scenario.get("order", 0), "scenario.order")
         if self.mc is not None:
             if not isinstance(self.mc, dict):
                 raise ConfigurationError("mc must be a mapping")
-            try:  # _mc_batch reads the seed
-                n, n_channels, _ = (int(self.mc.get(key, 0))
-                                    for key in ("n", "n_channels", "seed"))
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"mc: {exc}") from exc
+            n, n_channels, seed = (
+                _config_int(self.mc.get(key, 0), f"mc.{key}")
+                for key in ("n", "n_channels", "seed"))
             if n <= 0:
                 raise ConfigurationError("mc.n must be a positive integer")
             if n_channels <= 0:
                 raise ConfigurationError("mc.n_channels must be positive")
+            if seed < 0:  # numpy seeds are nonnegative
+                raise ConfigurationError("mc.seed must be nonnegative")
             for point in self.grid:
                 users_for(n, point.alpha_inv)
 

@@ -24,7 +24,12 @@ real part of the effective input, so every inner integral reduces to erfc
 expressions that stay accurate in log space even for large tilts. The
 outer integral is then smooth and handled by composite Gauss-Legendre
 panels, narrowed to the tilt's own scale where a large tilt makes the
-inner mass switch regions within a small range of the outer value. Larger
+inner mass switch regions within a small range of the outer value. The
+outer law and log Z are even in the outer value, and the active region
+below -theta is the mirror image of the one above theta, so the outer
+integral runs over the positive half line with doubled weights, and both
+regions are one stacked array evaluated as the upper one. The panels of
+each interval are an affine image of a cached rule per panel count. Larger
 constellations and constant envelope have no accurate tilted moments
 here, so their broken solve is refused; the degenerate c = 0 solve needs
 no tilt and covers every constellation.
@@ -32,7 +37,9 @@ no tilt and covers every constellation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -40,8 +47,8 @@ from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import CONST_ENVELOPE, MPSK_ZERO, check_covered, check_domain
-from .replica import (ScenarioSpec, _panel_edges, _w, _w_prime,
-                      rs_distortion, scenario_moments, solve_rs_scenario)
+from .replica import (ScenarioSpec, _w, _w_prime, rs_distortion,
+                      scenario_moments, solve_rs_scenario)
 from .rmt import _validate_atoms
 
 _DAMPING = 0.5
@@ -82,106 +89,93 @@ def _r_integral(load, atoms, chi, chi_tilde):
 
 
 _GL16 = leggauss(16)
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _panel_nodes(breakpoints, scale):
-    """Composite Gauss-Legendre nodes between sorted breakpoints.
+@lru_cache(maxsize=64)
+def _half_panels(count, centre):
+    """Positive nodes of `count` equal 16-point panels, weights doubled.
 
-    Each interval is subdivided into panels no wider than 2*scale (one
-    scale, or one per interval) so the 16-point rule resolves the
-    variation on that scale. The panel edges are those of np.linspace over
-    each interval.
+    The panels cover [0, 1], or [-1, 1] for a centre interval, where an
+    odd count puts one panel across 0. Returns read-only (nodes, weights).
     """
-    lo, hi = np.asarray(breakpoints[:-1]), np.asarray(breakpoints[1:])
-    width = 2.0 * np.broadcast_to(scale, lo.shape)
-    keep = hi > lo
-    a, b, _ = _panel_edges(lo[keep], hi[keep], width[keep])
-    half = 0.5 * (b - a)
-    base_x, base_w = _GL16
-    xs = 0.5 * (a + b)[:, None] + half[:, None] * base_x
-    return xs.ravel(), (half[:, None] * base_w).ravel()
+    x, w = _GL16
+    shift, span = (count, count) if centre else (0, 2 * count)
+    nodes = (2 * np.arange(count)[:, None] + 1 - shift + x) / span
+    keep = nodes > 0
+    weights = np.broadcast_to(2.0 * w / span, keep.shape)[keep]
+    nodes = nodes[keep]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
 # closed-form inner integrals for the binary constellation
 # ---------------------------------------------------------------------------
 
-def _binary_inner(t0, theta, a, v):
-    """Tilted inner integrals at outer value t0 (array-capable).
-
-    The effective real input is t = t0 + z with z ~ N(0, v); the tilt is
-    exp(a(|t| - theta)) outside the dead zone |t| <= theta and 1 inside,
-    and the output is sqrt(P) sign(t) outside, 0 inside. Returns
-    (log_z, e_plus, e_minus, m_plus, m_minus): the log partition value,
-    the tilt-normalized probabilities of the two active regions, and the
-    tilt-normalized first z-moments restricted to those regions.
-    """
-    t0 = np.asarray(t0, dtype=float)
-    s = np.sqrt(v)
-    half = 0.5 * a * a * v
-    # active region t > theta, tilt exp(a(t - theta))
-    x_a = (theta - t0 - a * v) / s
-    tilt_a, lg_a = a * (t0 - theta), log_ndtr(-x_a)
-    l_a = tilt_a + half + lg_a
-    # active region t < -theta, tilt exp(-a(t + theta))
-    x_b = (-theta - t0 + a * v) / s
-    tilt_b, lg_b = -a * (t0 + theta), log_ndtr(x_b)
-    l_b = tilt_b + half + lg_b
-    # dead zone, tilt 1
-    z_c = ndtr((theta - t0) / s) - ndtr((-theta - t0) / s)
-    with np.errstate(divide="ignore"):
-        l_c = np.log(np.maximum(z_c, 0.0))
-    log_z = np.logaddexp(np.logaddexp(l_a, l_b), l_c)
-    e_plus = np.exp(l_a - log_z)
-    e_minus = np.exp(l_b - log_z)
-    # tilted first z-moments of the active regions, assembled from positive
-    # pieces in log space; the lower region's moment is negative overall
-    with np.errstate(divide="ignore"):
-        log_av = np.log(a * v)
-    phi_a = -0.5 * x_a * x_a - 0.5 * _LOG_2PI
-    m_a = np.logaddexp(log_av + lg_a, np.log(s) + phi_a) + tilt_a + half
-    phi_b = -0.5 * x_b * x_b - 0.5 * _LOG_2PI
-    m_b = np.logaddexp(log_av + lg_b, np.log(s) + phi_b) + tilt_b + half
-    m_plus = np.exp(m_a - log_z)
-    m_minus = -np.exp(m_b - log_z)
-    return log_z, e_plus, e_minus, m_plus, m_minus
-
-
 def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
     """Tilted moments for the binary constellation, closed-form inner part.
 
     Returns (E|x|^2, E Re{x s_rs*}, E Re{x s1*}, eta, E log Z) where the
-    tilted inner average is taken before the outer expectation; rho1 > 0.
-    Raises DomainError where the scalar problem is not well-posed.
+    tilted inner average is taken before the outer expectation. Raises
+    DomainError where the scalar problem is not well-posed, and unless xi,
+    rho_rs, rho1 and mu are positive (a NaN is not).
+
+    At the outer value t0 the effective real input is t = t0 + z with
+    z ~ N(0, v); the tilt is exp(a(|t| - theta)) outside the dead zone
+    |t| <= theta and 1 inside, and the output is sqrt(P) sign(t) outside,
+    0 inside. The outer nodes are t0 > 0 with doubled weights; row 0 of
+    u = (t0, -t0) is the active region t > theta at t0, and row 1 the
+    region t < -theta there, as its mirror image t > theta at -t0.
     """
     shrink = check_domain(penalty, xi)
-    root_p = np.sqrt(support.peak_power)
+    if not (xi > 0 and rho_rs > 0 and rho1 > 0 and mu > 0):
+        raise DomainError("binary tilted moments need xi, rho_rs, rho1, mu "
+                          f"> 0, got {xi}, {rho_rs}, {rho1}, {mu}")
+    root_p = math.sqrt(support.peak_power)
     theta = root_p * shrink / 2.0
     a = 2.0 * root_p * mu / xi
-    v = rho1 / 2.0
-    v0 = rho_rs / 2.0
-    s0 = np.sqrt(v0)
-    lim = 12.0 * s0 + theta + 3.0 * (a * v + np.sqrt(v))
-    scale = max(s0, np.sqrt(v))
+    v, v0 = rho1 / 2.0, rho_rs / 2.0
+    s0, s = math.sqrt(v0), math.sqrt(v)
+    lim = 12.0 * s0 + theta + 3.0 * (a * v + s)
+    scale = max(s0, s)
     if a * scale <= _SHARP_TILT:
         # composite Gauss-Legendre panels at the Gaussian scale
-        breaks, scales = (-lim, -theta, theta, lim), scale
+        inner, inner_width = theta, 2.0 * scale
     else:
         # the tilt moves the inner mass between the two active regions
         # within about 1/a of t0 = 0, and between an active region and the
         # dead zone within 1/a of a point in |t0| < theta: panels 1/a wide
-        # there
-        inner = min(theta + 20.0 / a, lim)
-        breaks, scales = (-lim, -inner, inner, lim), (scale, 0.5 / a, scale)
-    t0, wt = _panel_nodes(breaks, scales)
-    log_z, e_p, e_m, m_p, m_m = _binary_inner(t0, theta, a, v)
-    pdf = np.exp(-0.5 * t0 * t0 / v0) / np.sqrt(2.0 * np.pi * v0)
-    w = wt * pdf
-    eta = float(np.sum(w * (e_p + e_m)))
+        # there. 20/a < 4 scale < lim - theta, so [inner, lim] is not empty
+        inner, inner_width = theta + 20.0 / a, 1.0 / a
+    span = lim - inner
+    x_in, w_in = _half_panels(math.ceil((inner + inner) / inner_width), True)
+    x_out, w_out = _half_panels(math.ceil(span / (2.0 * scale)), False)
+    t0 = np.concatenate((inner * x_in, inner + span * x_out))
+    wt = np.concatenate((inner * w_in, span * w_out))
+    u = _SIGNS * t0
+    half = 0.5 * a * a * v
+    x = (theta - u - a * v) / s
+    tilt, lg = a * (u - theta), log_ndtr(-x)
+    log_r = tilt + half + lg
+    # dead zone, tilt 1: Phi((theta - t0)/s) - Phi((-theta - t0)/s)
+    z_c = ndtr((_SIGNS * theta - t0) / s)
+    with np.errstate(divide="ignore"):
+        l_c = np.log(np.maximum(z_c[0] - z_c[1], 0.0))
+    log_z = np.logaddexp(np.logaddexp(log_r[0], log_r[1]), l_c)
+    # tilted first z-moments of the active regions, assembled from positive
+    # pieces in log space; the lower region's moment is minus its mirror's
+    phi = -0.5 * x * x - 0.5 * _LOG_2PI
+    log_m = (np.logaddexp(math.log(a * v) + lg, math.log(s) + phi)
+             + tilt + half)
+    e = np.exp(log_r - log_z)
+    m = np.exp(log_m - log_z)
+    w = wt * (np.exp(-0.5 * t0 * t0 / v0) / math.sqrt(2.0 * np.pi * v0))
+    eta = float(w @ (e[0] + e[1]))
     m_pc = support.peak_power * eta
-    m0 = root_p * float(np.sum(w * t0 * (e_p - e_m)))
-    m1 = root_p * float(np.sum(w * (m_p - m_m)))
-    log_z_mean = float(np.sum(w * log_z))
+    m0 = root_p * float(w @ (t0 * (e[0] - e[1])))
+    m1 = root_p * float(w @ (m[0] + m[1]))
+    log_z_mean = float(w @ log_z)
     return m_pc, m0, m1, eta, log_z_mean
 
 

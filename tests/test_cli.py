@@ -146,10 +146,20 @@ def test_broken_solve_refuses_qpsk(capsys):
     ("{kind: full}", "5"),
     ("{kind: full}", "{n: abc, n_channels: 2}"),
     ("{kind: full}", "{n: 16, n_channels: 2, seed: abc}"),
+    ("{kind: full}", "{n: 16.9, n_channels: 2}"),
+    ("{kind: full}", "{n: 16, n_channels: 2.5}"),
+    ("{kind: full}", "{n: 16, n_channels: 2, seed: 1.7}"),
+    ("{kind: full}", "{n: .inf, n_channels: 2}"),
+    ("{kind: full}", "{n: 16, n_channels: 2, seed: -1}"),
+    ("{kind: mpsk_zero, order: 2.5, peak_power: 2.5, rsb: false}",
+     "{n: 16, n_channels: 2}"),
 ], ids=["scenario_not_mapping", "mc_not_mapping", "mc_n_not_int",
-        "mc_seed_not_int"])
+        "mc_seed_not_int", "mc_n_fractional", "mc_n_channels_fractional",
+        "mc_seed_fractional", "mc_n_infinite", "mc_seed_negative",
+        "order_fractional"])
 def test_malformed_sweep_config_exits_2(tmp_path, capsys, scenario, mc):
-    # each of these used to end in a traceback (exit 1)
+    # each of these used to end in a traceback (exit 1), or for a fractional
+    # count or order to be truncated to an int
     cfg = tmp_path / "sweep.yaml"
     cfg.write_text(
         "spec_version: '1'\n"

@@ -56,6 +56,20 @@ def test_binary_moments_raise_outside_the_scalar_domain():
         _binary_moments(PenaltySpec(lambda2=0.2), BPSK, np.nan, 1.0, 0.1, 2.0)
 
 
+@pytest.mark.parametrize("xi,rho_rs,rho1,mu", [
+    (2.0, 1.2, -0.1, 3.0), (2.0, 1.2, 0.0, 3.0), (2.0, 1.2, np.nan, 3.0),
+    (2.0, 1.2, 0.4, -1.0), (2.0, 1.2, 0.4, 0.0), (2.0, 1.2, 0.4, np.nan),
+    (2.0, 0.0, 0.4, 3.0), (-1.0, 1.2, 0.4, 3.0),
+], ids=["rho1_negative", "rho1_zero", "rho1_nan", "mu_negative", "mu_zero",
+        "mu_nan", "rho_rs_zero", "xi_negative"])
+def test_binary_moments_need_a_positive_state(xi, rho_rs, rho1, mu):
+    # 1 + xi*lambda2 > 0 in every case; the tilt slope 2 sqrt(P) mu/xi and
+    # both variances must be positive as well (rho1 -0.1 used to give NaN
+    # moments, mu -1 a NaN cross moment, rho1 0 a finite tuple)
+    with pytest.raises(DomainError, match="> 0"):
+        _binary_moments(PenaltySpec(lambda2=0.3), BPSK, xi, rho_rs, rho1, mu)
+
+
 def test_forced_c_zero_matches_rs_for_untuned_weights():
     for support in (QPSK, CONST_ENVELOPE):
         spec = ScenarioSpec(PenaltySpec(lambda2=0.3), support, 0.4, 1.0)
@@ -214,6 +228,52 @@ def test_binary_moments_match_tilted_double_integral(xi, rho_rs, rho1, mu):
     closed = _binary_moments(penalty, BPSK, xi, rho_rs, rho1, mu)
     brute = _tilted_by_brute_force(penalty, xi, rho_rs, rho1, mu)
     np.testing.assert_allclose(closed, brute, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("xi,rho_rs,rho1,tilt,centre_odd", [
+    pytest.param(3.0, 0.3, 0.6, 5.9, True, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="below _SHARP_TILT the panels at the Gaussian scale err by "
+        "2.3e-5 relative here")),
+    (4.0, 0.5, 0.1, 6.01, False),
+    (3.0, 0.3, 0.6, 6.01, True),
+    (3.0, 0.3, 0.6, 3.0, True),
+], ids=["below_sharp_tilt", "above_sharp_tilt", "above_sharp_tilt_odd",
+        "gentle_tilt_odd"])
+def test_folded_moments_match_tilted_double_integral(
+        monkeypatch, xi, rho_rs, rho1, tilt, centre_odd):
+    # tilt is a * max(s0, sqrt(v)), the slope times the Gaussian scale; an
+    # odd centre panel count puts one panel across t0 = 0, which keeps only
+    # its positive nodes
+    scale = np.sqrt(max(rho_rs, rho1) / 2.0)
+    mu = tilt * xi / (2.0 * np.sqrt(BPSK.peak_power) * scale)
+    counts, half_panels = [], rsb._half_panels
+
+    def recorded(count, centre):
+        if centre:
+            counts.append(count)
+        return half_panels(count, centre)
+
+    monkeypatch.setattr(rsb, "_half_panels", recorded)
+    penalty = PenaltySpec(lambda2=0.3)
+    closed = _binary_moments(penalty, BPSK, xi, rho_rs, rho1, mu)
+    assert [count % 2 == 1 for count in counts] == [centre_odd]
+    brute = _tilted_by_brute_force(penalty, xi, rho_rs, rho1, mu)
+    np.testing.assert_allclose(closed, brute, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("count", [1, 6, 7])
+@pytest.mark.parametrize("centre", [True, False])
+def test_half_panels_integrate_polynomials(count, centre):
+    # positive nodes with doubled weights: on [-1, 1] (an odd count has one
+    # panel across 0) they integrate an even function, on [0, 1] twice any
+    # function; the 16-point rule is exact up to degree 31 per panel
+    x, w = rsb._half_panels(count, centre)
+    assert x.size == (8 if centre else 16) * count
+    assert np.all((x > 0) & (x < 1) & (w > 0))
+    for k in range(16):
+        power = 2 * k if centre else k
+        assert w @ x ** power == pytest.approx(2.0 / (power + 1), rel=1e-13)
 
 
 def test_damped_fixed_point_cases():
