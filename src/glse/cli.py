@@ -114,6 +114,15 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    """argparse type for --seed: an int >= 0 (exits 2 otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _positive_float(text):
     """argparse type for --alpha-inv: a float > 0 (exits 2 otherwise)."""
     value = float(text)
@@ -160,7 +169,7 @@ def build_parser():
     _add_scenario_args(p)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("sweep", help="full sweep config to CSV")

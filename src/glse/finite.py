@@ -5,11 +5,10 @@ declared per-entry support. Convex scenarios (no l0 weight, full plane or
 disk) use an accelerated proximal-gradient method; discrete and l0
 scenarios have exact enumeration oracles at small N; the regularized
 zero-forcer is the quadratic-penalty closed form used as a cross-check.
-On the full plane with a negative l1 weight the objective is unbounded
-below, and the precoder is a stationary point of it (a saddle), found by
-a semismooth Newton method. The objective is nonconvex there, so that
-point is not proven unique; on the instances tested every converging
-start reaches the same one.
+On the full plane with a negative weight the objective is unbounded
+below: glse_convex minimises it under a power budget, and glse_stationary
+finds a stationary point (a saddle) by semismooth Newton steps.
+harness._program picks the program that a replica state describes.
 """
 
 from __future__ import annotations
@@ -153,9 +152,7 @@ def glse_convex(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
         power_cap: optional average-power budget per antenna. Iterates are
             kept inside ||x||^2 <= N * power_cap. Required on the full
             plane when lambda2 < 0, where the unconstrained objective is
-            unbounded along the channel null space. The capped minimiser
-            is the finite program of the tuning branch with lambda2 < 0
-            (chi > 0, power target above the unconstrained optimum).
+            unbounded along the channel null space.
 
     Returns:
         PrecodeOutput; x is the best (lowest-objective) iterate seen.
@@ -363,11 +360,11 @@ def glse_stationary(h, s, rho, penalty: PenaltySpec,
                     max_iter=DEFAULT_NEWTON_ITER) -> PrecodeOutput:
     """Stationary point of the full-plane objective with lambda1 <= 0.
 
-    With lambda1 < 0, ||Hv - sqrt(rho) s||^2 + lambda2||v||^2 +
-    lambda1||v||_1 is unbounded below. The tuning branch past the
-    Lagrangian boundary (xi < 0, where lambda1 < 0) describes a stationary
-    point of it, a saddle: the l1 version of rzf at negative lambda2,
-    which it reproduces when lambda1 = 0. The point is a root of
+    With lambda1 < 0 or lambda2 < 0, ||Hv - sqrt(rho) s||^2 +
+    lambda2||v||^2 + lambda1||v||_1 is unbounded below. The tuning branch
+    past the Lagrangian boundary (xi < 0) describes a stationary point of
+    it, a saddle: the l1 version of rzf at negative lambda2, which it
+    reproduces when lambda1 = 0. The point is a root of
     F(v) = v - prox(-u, v + t grad g(v), t), t = 1/(2||H||^2), solved by
     semismooth Newton steps with backtracking on ||F||, first from
     rzf(h, s, rho, lambda2) and, if that stalls, from zero. The objective
@@ -394,8 +391,8 @@ def glse_stationary(h, s, rho, penalty: PenaltySpec,
         raise ConfigurationError("glse_stationary requires lambda0 = 0")
     if penalty.lambda1 > 0:
         raise ConfigurationError(
-            "glse_stationary requires lambda1 <= 0; positive weights have a "
-            "minimiser, use glse_convex")
+            "glse_stationary requires lambda1 <= 0; with lambda1 > 0 the "
+            "minimiser is glse_convex's (under a power_cap if lambda2 < 0)")
     if rho < 0:
         raise ConfigurationError("rho must be nonnegative")
     n = h.shape[1]

@@ -129,8 +129,11 @@ class SweepConfig:
 
 def load_sweep_config(path) -> SweepConfig:
     """Parse a YAML sweep config file."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} is not a mapping")
     try:
@@ -199,30 +202,30 @@ def _scenario_label(scenario, support):
     return f"{support.kind}_{sparsity}"
 
 
-def _stationary_branch(penalty, support):
-    """Full-plane l1 weights below zero: the continued tuning branch."""
-    return (support.kind == FULL and penalty.lambda0 == 0
-            and penalty.lambda1 < 0)
+def _program(penalty, support, state):
+    """(solver, power_cap) of the finite program whose trials check state.
 
+    The one rule from a replica state (the RsSolution of the weights, or
+    None for raw weights) to its finite program:
 
-def power_cap_for(penalty, support, power):
-    """Average-power cap that run_trials needs for these weights, or None.
-
-    A full-plane penalty with lambda2 < 0 and lambda1 >= 0 (power target
-    above the unconstrained optimum, chi > 0) has no minimiser without the
-    power budget, so it gets power as the cap. Every other penalty,
-    including the continued branch with lambda1 < 0, takes no cap.
+    - constellation supports: "discrete" (glse_exhaustive_discrete);
+    - lambda0 != 0: "l0" (glse_exhaustive_l0, which refuses the negative
+      weights of the l0 branch with xi < 0);
+    - full plane with a negative weight (unbounded below): with
+      state.xi > 0, the minimiser under the budget state.p ("apg",
+      state.p); past the Lagrangian boundary (xi < 0) or for raw weights,
+      "stationary" (glse_stationary, a saddle; rzf when lambda1 = 0);
+    - otherwise "apg", the stacked proximal-gradient minimiser, uncapped.
     """
-    if (support.kind == FULL and penalty.lambda0 == 0 and penalty.lambda2 < 0
-            and not _stationary_branch(penalty, support)):
-        return power
-    return None
-
-
-def _stacked(penalty, support):
-    """True when run_trials solves these weights with the stacked APG."""
-    return (support.kind != MPSK_ZERO and penalty.lambda0 == 0
-            and not _stationary_branch(penalty, support))
+    if support.kind == MPSK_ZERO:
+        return "discrete", None
+    if penalty.lambda0 != 0:
+        return "l0", None
+    if support.kind == FULL and min(penalty.lambda2, penalty.lambda1) < 0:
+        if state is not None and state.xi > 0:
+            return "apg", state.p
+        return "stationary", None
+    return "apg", None
 
 
 def _stack_size(n):
@@ -239,12 +242,12 @@ def _sample_trial(n, k, seed):
     return h, s
 
 
-def _solve_one(n, k, rho, penalty, support, seed):
-    """One trial on the per-trial solvers (constellation, l0, stationary)."""
+def _solve_one(n, k, rho, penalty, support, solver, seed):
+    """One trial on a per-trial solver of _program."""
     h, s = _sample_trial(n, k, seed)
-    if support.kind == MPSK_ZERO:
+    if solver == "discrete":
         return glse_exhaustive_discrete(h, s, rho, penalty.lambda2, support)
-    if penalty.lambda0 != 0:
+    if solver == "l0":
         return glse_exhaustive_l0(h, s, rho, penalty)
     out = glse_stationary(h, s, rho, penalty)
     if not out.converged:
@@ -271,61 +274,50 @@ def _solve_stack(n, k, rho, penalty, support, seeds, power_cap):
     return outs
 
 
-def run_trials(n, k, rho, penalty, support, seeds, power_cap=None):
+def run_trials(n, k, rho, penalty, support, seeds, state=None):
     """Finite-dimension trials, one per seed: sample (H, s), precode.
 
     Returns (distortion, power, activity), three arrays in seed order.
     Trial seed draws the channel from sample_channel at rng_seed = seed and
     the data from default_rng([seed, 0x5EED]), so it is deterministic in
-    seed. Each tuning branch is checked against the finite program its
-    replica state describes:
-
-    - nonnegative weights: the minimiser (glse_convex, or the exhaustive
-      solvers for the constellation and l0 scenarios);
-    - full plane with lambda1 < 0 (the continued branch, xi < 0): a
-      stationary point from glse_stationary, and a power_cap is rejected;
-    - full plane with lambda2 < 0 and lambda1 >= 0 (power target above the
-      unconstrained optimum, chi > 0): the minimiser under the power_cap,
-      which the caller must pass on to glse_convex (power_cap_for gives
-      it).
+    seed. state is the RsSolution the trials are checked against (tune
+    returns it with the weights), or None for raw weights; _program picks
+    the finite program from it.
 
     APG trials are sampled and solved in stacks of up to _stack_size(n)
     (glse_convex_stack); a trial's result does not depend on the stack it
     is solved in, bit for bit. A trial whose solver does not converge
     raises ConvergenceError naming its seeds.
     """
-    if _stationary_branch(penalty, support) and power_cap is not None:
-        raise ConfigurationError(
-            "power_cap does not apply with lambda1 < 0: the trial solves "
-            "for the unconstrained stationary point")
     seeds = [int(seed) for seed in seeds]
-    if _stacked(penalty, support):
+    solver, cap = _program(penalty, support, state)
+    if solver == "apg":
         size = _stack_size(n)
         outs = [out for i in range(0, len(seeds), size)
                 for out in _solve_stack(n, k, rho, penalty, support,
-                                        seeds[i:i + size], power_cap)]
+                                        seeds[i:i + size], cap)]
     else:
-        outs = [_solve_one(n, k, rho, penalty, support, seed)
+        outs = [_solve_one(n, k, rho, penalty, support, solver, seed)
                 for seed in seeds]
     return tuple(np.array([getattr(out, name) for out in outs])
                  for name in ("distortion", "power", "activity"))
 
 
-def run_trial(n, k, rho, penalty, support, seed, power_cap=None):
+def run_trial(n, k, rho, penalty, support, seed, state=None):
     """One trial of run_trials: (distortion, power, activity) floats."""
     return tuple(float(v[0]) for v in run_trials(
-        n, k, rho, penalty, support, [seed], power_cap))
+        n, k, rho, penalty, support, [seed], state))
 
 
-def _mc_batch(point, penalty, support, mc, n_workers):
+def _mc_batch(point, penalty, support, state, mc, n_workers):
     n = int(mc["n"])
     k = users_for(n, point.alpha_inv)
     n_channels = int(mc["n_channels"])
     base_seed = int(mc.get("seed", 0))
-    cap = power_cap_for(penalty, support, point.power)
-    size = _stack_size(n) if _stacked(penalty, support) else 1
+    solver, _ = _program(penalty, support, state)
+    size = _stack_size(n) if solver == "apg" else 1
     seeds = range(base_seed, base_seed + n_channels)
-    args = [(n, k, point.rho, penalty, support, seeds[i:i + size], cap)
+    args = [(n, k, point.rho, penalty, support, seeds[i:i + size], state)
             for i in range(0, n_channels, size)]
     if n_workers > 1:
         # deferred: a serial batch never starts a pool
@@ -380,7 +372,7 @@ def run_sweep(config: SweepConfig, n_workers=1):
             if config.mc is not None:
                 (rec.mc_d_mean, rec.mc_d_stderr, rec.mc_power, rec.mc_eta,
                  rec.n_trials, rec.seed) = _mc_batch(
-                     point, pen, support, config.mc, n_workers)
+                     point, pen, support, sol, config.mc, n_workers)
         except (ConfigurationError, ConvergenceError, DomainError) as exc:
             rec.error = f"{type(exc).__name__}: {exc}"
         records.append(rec)

@@ -36,11 +36,8 @@ class PenaltySpec:
     xi is negative, so the effective scalar weights xi*lambda stay
     positive while the nominal weights flip sign. Well-posedness of the
     scalar problem (1 + xi*lambda2 > 0, xi*lambda0 >= 0, xi*lambda1 >= 0)
-    is checked by check_domain where the weights are used. At finite N, a
-    full-plane penalty with lambda1 < 0 (that branch) stands for a
-    stationary point of the unbounded objective (finite.glse_stationary);
-    lambda2 < 0 with lambda1 >= 0 stands for the minimiser under a power
-    budget (finite.glse_convex with power_cap).
+    is checked by check_domain where the weights are used. Which finite-N
+    program a tuned state stands for is the rule of harness._program.
     """
 
     lambda2: float = 0.0

@@ -454,9 +454,7 @@ def _chi_from_q(q, what):
     into chi < -1 (xi < 0), the regime of an over-provisioned regularized
     zero-forcer; the nominal weights flip sign there while the effective
     scalar weights xi*lambda stay positive, so the scalar problem remains
-    well-posed. The finite-N program of that state is not a minimiser but
-    a stationary point (a saddle) of the GLSE objective with the negative
-    weights, which finite.glse_stationary computes for the l1 penalty.
+    well-posed. harness._program picks the finite-N program of that state.
     """
     if q <= 0 or abs(q - 1.0) < 1e-12:
         raise ConfigurationError(

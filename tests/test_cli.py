@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from glse import finite
+from glse import finite, harness
 from glse.cli import main
 
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
@@ -73,6 +74,26 @@ def test_counts_below_one_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "expected an integer >= 1" in captured.err
+
+
+def test_negative_seed_exits_2(capsys):
+    # numpy seeds are nonnegative; -1 ended in a ValueError traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--alpha-inv", "2", "--n", "16", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
+
+
+def test_simulate_negative_ridge_weight_is_rzf(capsys):
+    # raw full-plane weights with lambda2 < 0 carry no power budget: the
+    # trials solve for the stationary point, which is rzf at lambda1 = 0
+    # (this exited 2 with "needs a power_cap")
+    assert main(["simulate", "--alpha-inv", "4", "--n", "16", "--trials",
+                 "2", "--lambda2", "-0.05"]) == 0
+    want = np.mean([finite.rzf(*harness._sample_trial(16, 4, seed), 1.0,
+                               -0.05).distortion for seed in (0, 1)])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["distortion_mean"] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,6 +191,18 @@ def test_malformed_sweep_config_exits_2(tmp_path, capsys, scenario, mc):
     assert main(["sweep", "--config", str(cfg),
                  "--output", str(tmp_path / "out.csv")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.yaml", ".", "bad.yaml"],
+                         ids=["missing", "directory", "bad_yaml"])
+def test_unreadable_sweep_config_exits_2(tmp_path, capsys, name):
+    # a FileNotFoundError, an IsADirectoryError and a yaml parser error
+    # each ended in a traceback (exit 1)
+    (tmp_path / "bad.yaml").write_text("grid: [{alpha_inv: 2.0\n")
+    assert main(["sweep", "--config", str(tmp_path / name),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert "configuration error: cannot read config" in (
+        capsys.readouterr().err)
 
 
 def test_strict_flag_on_solver_failure(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -7,7 +8,7 @@ from glse import finite, harness
 from glse.errors import ConfigurationError, ConvergenceError
 from glse.harness import (CSV_COLUMNS, ExperimentRecord, GridPoint,
                           SweepConfig, emit_csv, fit_equivalent_eta,
-                          load_sweep_config, power_cap_for, read_csv,
+                          load_sweep_config, read_csv,
                           run_sweep, run_trial, run_trials, to_db)
 from glse.penalties import PenaltySpec, SupportSpec
 from glse.replica import ScenarioSpec, random_tas_asymptote, tune
@@ -108,24 +109,44 @@ def _continued_branch_weights():
     return pen
 
 
-def test_power_cap_for_branches():
+def test_program_follows_the_replica_state():
+    # full/l1 at alpha_inv 4, eta 1 tunes to lambda1 = 0 and lambda2 < 0
+    # with xi < 0: the weight signs of the capped branch, past the boundary
     full = SupportSpec.full_complex()
-    # chi > 0 with a negative quadratic weight: capped at the power target
-    assert power_cap_for(PenaltySpec(lambda2=-0.1, lambda1=0.05), full,
-                         0.5) == 0.5
-    # continued branch (lambda1 < 0) and nonnegative weights: no cap
-    assert power_cap_for(PenaltySpec(lambda2=-0.01, lambda1=-0.05), full,
-                         0.5) is None
-    assert power_cap_for(PenaltySpec(lambda2=0.1, lambda1=0.05), full,
-                         0.5) is None
-    assert power_cap_for(PenaltySpec(lambda2=-0.1), SupportSpec.disk(1.0),
-                         0.5) is None
+    pen, sol = tune(ScenarioSpec(PenaltySpec(), full, 0.25, 1.0), 0.5, 1.0,
+                    sparsity="l1")
+    assert pen.lambda1 == 0 and pen.lambda2 < 0 and sol.xi < 0
+    assert harness._program(pen, full, sol) == ("stationary", None)
+    # the same weights on a state with xi > 0: the minimiser under state.p
+    assert harness._program(
+        pen, full, dataclasses.replace(sol, xi=1.0, p=0.4)) == ("apg", 0.4)
+    # raw weights: no budget is known
+    assert harness._program(pen, full, None) == ("stationary", None)
+    # criterion 02's capped point (alpha_inv 2, eta 0.3) keeps its budget
+    spec = ScenarioSpec(PenaltySpec(), full, 0.5, 1.0)
+    capped, capped_sol = tune(spec, 0.5, 0.3, sparsity="l1")
+    assert capped.lambda2 < 0 < capped.lambda1
+    assert harness._program(capped, full, capped_sol) == ("apg", 0.5)
+    assert harness._program(_continued_branch_weights(), full, None) == (
+        "stationary", None)
+    for weights, support, program in (
+            (PenaltySpec(lambda2=0.1, lambda1=0.05), full, "apg"),
+            (PenaltySpec(lambda2=-0.1), SupportSpec.disk(1.0), "apg"),
+            (PenaltySpec(lambda2=-0.1), SupportSpec.mpsk_zero(2, 2.5),
+             "discrete"),
+            (PenaltySpec(lambda2=-0.1, lambda0=-0.2), full, "l0")):
+        assert harness._program(weights, support, sol) == (program, None)
 
 
-def test_run_trial_rejects_power_cap_on_continued_branch():
-    with pytest.raises(ConfigurationError):
-        run_trial(16, 4, 1.0, _continued_branch_weights(),
-                  SupportSpec.full_complex(), seed=3, power_cap=0.5)
+def test_pure_ridge_continued_branch_matches_replica():
+    # the weight signs alone gave these trials the power-capped APG, 2.5 dB
+    # below D_rs; the state's stationary point (rzf) is 0.02 dB above it
+    grid = (GridPoint(alpha_inv=4.0, eta=1.0, power=0.5),)
+    cfg = SweepConfig(scenario={"kind": "full", "sparsity": "l1"},
+                      grid=grid, mc={"n": 64, "n_channels": 20, "seed": 0})
+    (rec,) = run_sweep(cfg)
+    assert rec.error is None and rec.lambda1 == 0 and rec.chi < -1
+    assert abs(to_db(rec.mc_d_mean / rec.d_rs)) < 0.5
 
 
 def test_stationary_nonconvergence_raises_and_is_recorded(monkeypatch):
