@@ -17,28 +17,38 @@ refinement level on all panels of all rays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc, lambertw, ndtr, owens_t, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import (DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec,
                         check_covered, check_domain, decouple)
-from .rmt import UNIT_ATOMS, r_transform, r_transform_derivative
+from .rmt import (UNIT_ATOMS, _validate_atoms, r_transform,
+                  r_transform_derivative)
 
 CHI_INITS = (0.1, 1.0, 10.0)
 P_INIT_FACTORS = (0.1, 1.0, 10.0)
 
 
 def qfunc(x):
-    """Gaussian tail probability Q(x)."""
-    return 0.5 * erfc(x / np.sqrt(2.0))
+    """Gaussian tail probability Q(x) = erfc(x/sqrt 2)/2, by math.erfc.
+
+    An array is mapped elementwise, with the same values as scalar calls.
+    """
+    if np.ndim(x):
+        return 0.5 * np.vectorize(math.erfc, otypes=[float])(x / np.sqrt(2.0))
+    return 0.5 * math.erfc(x / np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One asymptotic scenario: penalty, support, load, power control."""
+    """One asymptotic scenario: penalty, support, load, power control.
+
+    pathloss_atoms is validated and stored as a tuple, as in ChannelSpec.
+    """
 
     penalty: PenaltySpec
     support: SupportSpec
@@ -51,6 +61,8 @@ class ScenarioSpec:
             raise ConfigurationError("load must be positive")
         if not self.rho > 0:
             raise ConfigurationError("rho must be positive")
+        object.__setattr__(self, "pathloss_atoms",
+                           _validate_atoms(self.pathloss_atoms))
 
 
 @dataclass(frozen=True)
@@ -177,6 +189,9 @@ def _moments_disk_l1(lam, lam1, peak_power, xi, rho_rs):
 
 
 def _moments_mpsk(lam, peak_power, order, xi, rho_rs):
+    # deferred: the full-plane and disk moments need no scipy.special
+    from scipy.special import ndtr, owens_t
+
     # Owen's T form of the phase integrals over [0, pi/M], with T(h, a) =
     # P{X > h, 0 < Y < aX} for independent standard normals X, Y; at M = 2,
     # tan(pi/2) is a large finite float and eta reduces to Craig's 2Q(h)
@@ -232,7 +247,7 @@ def scenario_moments(penalty, support, xi, rho_rs):
 # s ~ CN(0, rho_rs), so each moment is an integral against e^{-u} du over
 # the activity segments of the ray.
 
-_PANEL_NODES, _PANEL_WEIGHTS = roots_legendre(16)
+_PANEL_NODES, _PANEL_WEIGHTS = leggauss(16)
 # M-PSK phases as fractions of [0, pi/M]: 16-point panels halving toward
 # pi/M down to 2^-10 of the interval, since the BPSK ray integrand
 # exp(-h^2/(2 cos^2 theta)) is not analytic at theta = pi/2
@@ -604,7 +619,8 @@ def tune(spec: ScenarioSpec, target_power, target_eta, sparsity=None):
     For full-plane scenarios the weights follow in closed form from the
     target equations; disk scenarios solve a 3-equation root-find; the
     constellation scenarios tune the quadratic weight alone. Returns the
-    tuned PenaltySpec together with the converged RsSolution.
+    tuned PenaltySpec together with the converged RsSolution. Every path
+    assumes the unit path-loss atom; other atoms raise ConfigurationError.
     """
     if not (0 < target_eta <= 1):
         raise ConfigurationError("target_eta must lie in (0, 1]")
@@ -614,6 +630,10 @@ def tune(spec: ScenarioSpec, target_power, target_eta, sparsity=None):
         sparsity = "l1" if spec.penalty.lambda1 != 0 else "l0"
     if sparsity not in ("l0", "l1"):
         raise ConfigurationError("sparsity must be 'l0' or 'l1'")
+    if spec.pathloss_atoms != UNIT_ATOMS:
+        raise ConfigurationError(
+            "tune assumes the unit path-loss atom (rho_rs = (rho + p)/alpha, "
+            f"xi = (1 + chi)/alpha), not {spec.pathloss_atoms}")
 
     kind = spec.support.kind
     if kind == FULL:
@@ -677,6 +697,9 @@ def lemma2_bound(load, rho, eta, peak_power, order):
         raise ConfigurationError("eta must lie in (0, 1]")
     if order < 1:
         raise ConfigurationError("order must be >= 1")
+    # deferred: only the constellation bound needs scipy.special
+    from scipy.special import lambertw
+
     rhs = 1.0 + np.log(1.0 + order) / load
     # rhs == 1 exactly (alpha -> infinity limit): r = 1, where lambertw
     # returns nan at its branch point -1/e

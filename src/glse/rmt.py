@@ -24,11 +24,12 @@ def _validate_atoms(atoms):
     if not atoms:
         raise ConfigurationError("pathloss_atoms must be nonempty")
     total = sum(p for _, p in atoms)
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:  # a NaN probability fails too
         raise ConfigurationError(f"atom probabilities sum to {total}, not 1")
     for a, p in atoms:
-        if a < 0 or p < 0:
-            raise ConfigurationError("atom gains and probabilities must be >= 0")
+        if not (0 <= a < np.inf and p >= 0):
+            raise ConfigurationError(
+                "atom gains must be finite and >= 0, probabilities >= 0")
     return tuple(atoms)
 
 

@@ -43,13 +43,11 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import CONST_ENVELOPE, MPSK_ZERO, check_covered, check_domain
 from .replica import (ScenarioSpec, _w, _w_prime, rs_distortion,
                       scenario_moments, solve_rs_scenario)
-from .rmt import _validate_atoms
 
 _DAMPING = 0.5
 _TOL = 1e-9
@@ -82,7 +80,7 @@ class RsbSolution:
 def _r_integral(load, atoms, chi, chi_tilde):
     """Integral of R(-omega) over omega in [chi, chi_tilde]."""
     total = 0.0
-    for a, prob in _validate_atoms(atoms):
+    for a, prob in atoms:
         if a > 0:
             total += prob * np.log((1.0 + a * chi_tilde) / (1.0 + a * chi))
     return load * total
@@ -128,6 +126,9 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
     u = (t0, -t0) is the active region t > theta at t0, and row 1 the
     region t < -theta there, as its mirror image t > theta at -t0.
     """
+    # deferred: importing rsb (every sweep does) loads no scipy.special
+    from scipy.special import log_ndtr, ndtr
+
     shrink = check_domain(penalty, xi)
     if not (xi > 0 and rho_rs > 0 and rho1 > 0 and mu > 0):
         raise DomainError("binary tilted moments need xi, rho_rs, rho1, mu "

@@ -379,6 +379,28 @@ def test_tune_constellation_unreachable_target_is_configuration_error():
         tune(spec, 0.7 * 2.5, 0.7)
 
 
+@pytest.mark.parametrize("support, sparsity, power, eta", [
+    (FULL, "l1", 0.5, 0.7), (FULL, "l0", 0.5, 0.7),
+    (SupportSpec.disk(1.5), "l1", 0.5, 0.7),
+    (SupportSpec.disk(1.5), "l0", 0.5, 0.7),
+    (SupportSpec.mpsk_zero(2, 2.5), None, 1.0, 0.4)],
+    ids=["full_l1", "full_l0", "disk_l1", "disk_l0", "bpsk"])
+def test_tune_refuses_non_unit_pathloss_atoms(support, sparsity, power, eta):
+    spec = ScenarioSpec(PenaltySpec(), support, 0.5, 1.0,
+                        ((0.5, 0.5), (1.5, 0.5)))
+    with pytest.raises(ConfigurationError, match="unit path-loss atom"):
+        tune(spec, power, eta, sparsity=sparsity)
+
+
+def test_scenario_spec_validates_pathloss_atoms():
+    for atoms in ([(1.0, 0.5)], [(-1.0, 1.0)], []):
+        with pytest.raises(ConfigurationError):
+            ScenarioSpec(PenaltySpec(), FULL, 0.5, 1.0, atoms)
+    spec = ScenarioSpec(PenaltySpec(), FULL, 0.5, 1.0, [(1, 1)])
+    assert spec.pathloss_atoms == ((1.0, 1.0),)
+    assert hash(spec) == hash(_spec(PenaltySpec()))
+
+
 def test_tune_root_drops_a_start_outside_the_domain():
     # exp(-800) underflows shrink to 0: the first evaluation raises
     # DomainError, and the next start still finds the root
@@ -434,6 +456,20 @@ def test_qfunc_matches_erfc():
     x = np.linspace(-3, 5, 9)
     np.testing.assert_allclose(qfunc(x), 0.5 * erfc(x / np.sqrt(2)),
                                rtol=1e-12)
+
+
+def test_qfunc_matches_mpmath_to_rounding():
+    # the reference takes the same rounded argument x / sqrt(2): its
+    # rounding alone moves Q(20) by 4.7e-14. scipy.special.erfc is off by
+    # up to 1.4e-14 here and fails this bound
+    mpmath = pytest.importorskip("mpmath")
+    x = np.linspace(-3, 20, 231)
+    with mpmath.workdps(40):
+        exact = [float(mpmath.erfc(mpmath.mpf(z)) / 2)
+                 for z in x / np.sqrt(2.0)]
+    q = qfunc(x)
+    np.testing.assert_allclose(q, exact, rtol=1e-15, atol=0)
+    assert [qfunc(v) for v in x] == list(q)
 
 
 def test_rs_distortion_unit_atom_reduction():

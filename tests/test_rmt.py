@@ -48,8 +48,10 @@ def test_invalid_dimensions_rejected():
 def test_atom_validation():
     with pytest.raises(ConfigurationError):
         ChannelSpec(n_tx=4, n_users=2, pathloss_atoms=[(1.0, 0.5)])
-    with pytest.raises(ConfigurationError):
-        ChannelSpec(n_tx=4, n_users=2, pathloss_atoms=[(-1.0, 1.0)])
+    for atoms in ([(-1.0, 1.0)], [(np.nan, 1.0)], [(np.inf, 1.0)],
+                  [(1.0, np.nan)]):
+        with pytest.raises(ConfigurationError):
+            ChannelSpec(n_tx=4, n_users=2, pathloss_atoms=atoms)
 
 
 def test_r_transform_values():
