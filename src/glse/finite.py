@@ -47,6 +47,13 @@ class PrecodeOutput:
     start: str | None = None
 
 
+def _check_rho(rho):
+    """Raise ConfigurationError unless rho is finite and nonnegative."""
+    if not 0 <= rho < np.inf:  # a NaN fails too
+        raise ConfigurationError(
+            f"rho must be finite and nonnegative, got {rho}")
+
+
 def _check_instance(h, s):
     h = np.asarray(h, dtype=complex)
     s = np.asarray(s, dtype=complex)
@@ -141,7 +148,7 @@ def glse_convex(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
     Args:
         h: K x N channel matrix.
         s: length-K data vector.
-        rho: power control factor (nonnegative).
+        rho: power control factor, finite and nonnegative.
         penalty: weights with lambda0 = 0 and lambda1 >= 0 (a negative l1
             weight has no minimiser; glse_stationary covers it). lambda2
             may be negative as long as the proximal subproblem stays
@@ -189,8 +196,7 @@ def glse_convex_stack(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
     if support.kind not in (FULL, DISK):
         raise ConfigurationError(
             "glse_convex covers the full-plane and disk supports")
-    if rho < 0:
-        raise ConfigurationError("rho must be nonnegative")
+    _check_rho(rho)
     if penalty.lambda1 < 0:
         raise ConfigurationError(
             "glse_convex requires lambda1 >= 0: with a negative l1 weight "
@@ -374,7 +380,7 @@ def glse_stationary(h, s, rho, penalty: PenaltySpec,
     Args:
         h: K x N channel matrix.
         s: length-K data vector.
-        rho: power control factor (nonnegative).
+        rho: power control factor, finite and nonnegative.
         penalty: weights with lambda0 = 0 and lambda1 <= 0.
         max_iter: Newton-step cap per start.
 
@@ -393,8 +399,7 @@ def glse_stationary(h, s, rho, penalty: PenaltySpec,
         raise ConfigurationError(
             "glse_stationary requires lambda1 <= 0; with lambda1 > 0 the "
             "minimiser is glse_convex's (under a power_cap if lambda2 < 0)")
-    if rho < 0:
-        raise ConfigurationError("rho must be nonnegative")
+    _check_rho(rho)
     n = h.shape[1]
     if np.linalg.norm(h, 2) == 0:
         return _output(h, s, rho, penalty, np.zeros(n, dtype=complex), 0,
@@ -424,6 +429,7 @@ def glse_stationary(h, s, rho, penalty: PenaltySpec,
 def rzf(h, s, rho, lambda2) -> PrecodeOutput:
     """Regularized zero-forcing closed form sqrt(rho) H^H (HH^H + la I)^-1 s."""
     h, s = _check_instance(h, s)
+    _check_rho(rho)
     k = h.shape[0]
     gram = h @ h.conj().T + lambda2 * np.eye(k)
     try:
@@ -449,7 +455,7 @@ def glse_exhaustive_l0(h, s, rho, penalty: PenaltySpec) -> PrecodeOutput:
     Args:
         h: K x N channel matrix with N <= 16.
         s: length-K data vector.
-        rho: power control factor.
+        rho: power control factor, finite and nonnegative.
         penalty: weights with lambda1 = 0 and lambda0, lambda2 >= 0. With
             lambda2 < 0 the ridge problem on a support wider than K has no
             minimiser (the least-squares fallback is not one), and a
@@ -460,6 +466,7 @@ def glse_exhaustive_l0(h, s, rho, penalty: PenaltySpec) -> PrecodeOutput:
         PrecodeOutput at the global optimum.
     """
     h, s = _check_instance(h, s)
+    _check_rho(rho)
     if penalty.lambda1 != 0:
         raise ConfigurationError("glse_exhaustive_l0 requires lambda1 = 0")
     if penalty.lambda0 < 0 or penalty.lambda2 < 0:
@@ -495,7 +502,7 @@ def glse_exhaustive_discrete(h, s, rho, lambda2,
     Args:
         h: K x N channel matrix with (M+1)^N <= 1e8.
         s: length-K data vector.
-        rho: power control factor.
+        rho: power control factor, finite and nonnegative.
         lambda2: quadratic penalty weight.
         support: zero-extended constellation.
 
@@ -503,6 +510,7 @@ def glse_exhaustive_discrete(h, s, rho, lambda2,
         PrecodeOutput at the global optimum.
     """
     h, s = _check_instance(h, s)
+    _check_rho(rho)
     if support.kind != MPSK_ZERO:
         raise ConfigurationError(
             "glse_exhaustive_discrete requires the constellation support")

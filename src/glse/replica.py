@@ -26,8 +26,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import (DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec,
                         check_covered, check_domain, decouple)
-from .rmt import (UNIT_ATOMS, _validate_atoms, r_transform,
-                  r_transform_derivative)
+from .rmt import UNIT_ATOMS, _r_transform, _validate_atoms
 
 CHI_INITS = (0.1, 1.0, 10.0)
 P_INIT_FACTORS = (0.1, 1.0, 10.0)
@@ -85,13 +84,14 @@ class RsSolution:
 
 
 def _w(spec, chi):
-    """R(-chi) of the Gramian spectrum."""
-    return r_transform(spec.load, spec.pathloss_atoms, -chi)
+    """R(-chi) of the Gramian spectrum, on the spec's validated atoms."""
+    return _r_transform(spec.load, spec.pathloss_atoms, -chi)
 
 
 def _w_prime(spec, chi):
-    """d/dchi of R(-chi)."""
-    return -r_transform_derivative(spec.load, spec.pathloss_atoms, -chi)
+    """d/dchi of R(-chi), on the spec's validated atoms."""
+    return -_r_transform(spec.load, spec.pathloss_atoms, -chi,
+                         derivative=True)
 
 
 def rs_distortion(spec, chi, p):

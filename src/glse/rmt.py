@@ -90,6 +90,18 @@ def sample_channel(spec: ChannelSpec) -> ChannelSample:
     return ChannelSample(matrix=h)
 
 
+def _r_transform(load, atoms, omega, derivative=False):
+    """r_transform, or with derivative its derivative, on validated atoms."""
+    total = 0.0
+    for a, p in atoms:
+        if a > 0:
+            denom = 1.0 - a * omega
+            if denom == 0:
+                raise DomainError(f"pole at atom gain {a}: 1 - a*omega = 0")
+            total += p * a * a / denom**2 if derivative else p * a / denom
+    return load * total
+
+
 def r_transform(load, pathloss_atoms, omega):
     """R-transform of the limiting Gramian spectrum at a real argument.
 
@@ -98,28 +110,13 @@ def r_transform(load, pathloss_atoms, omega):
     continuation, which the fixed-point equations use on the branch with
     chi < -1/a; only the poles themselves are rejected.
     """
-    atoms = _validate_atoms(pathloss_atoms)
-    total = 0.0
-    for a, p in atoms:
-        denom = 1.0 - a * omega
-        if a > 0 and denom == 0:
-            raise DomainError(f"pole at atom gain {a}: 1 - a*omega = 0")
-        if a > 0:
-            total += p * a / denom
-    return load * total
+    return _r_transform(load, _validate_atoms(pathloss_atoms), omega)
 
 
 def r_transform_derivative(load, pathloss_atoms, omega):
     """d/d omega of r_transform: alpha * sum_i p_i a_i^2 / (1 - a_i omega)^2."""
-    atoms = _validate_atoms(pathloss_atoms)
-    total = 0.0
-    for a, p in atoms:
-        denom = 1.0 - a * omega
-        if a > 0 and denom == 0:
-            raise DomainError(f"pole at atom gain {a}: 1 - a*omega = 0")
-        if a > 0:
-            total += p * a * a / denom**2
-    return load * total
+    return _r_transform(load, _validate_atoms(pathloss_atoms), omega,
+                        derivative=True)
 
 
 def empirical_stieltjes(sample: ChannelSample, s: complex) -> complex:

@@ -29,10 +29,19 @@ outer law and log Z are even in the outer value, and the active region
 below -theta is the mirror image of the one above theta, so the outer
 integral runs over the positive half line with doubled weights, and both
 regions are one stacked array evaluated as the upper one. The panels of
-each interval are an affine image of a cached rule per panel count. Larger
-constellations and constant envelope have no accurate tilted moments
-here, so their broken solve is refused; the degenerate c = 0 solve needs
-no tilt and covers every constellation.
+each interval are an affine image of a cached rule per panel count, and
+only their leading nodes up to t_cut = s0 sqrt(2 (ln(1/eps) + ln(1 + a lim
++ a^2 v))), eps = 1e-25, are evaluated. Past t_cut the outer Gaussian
+factor exp(-t0^2 / (2 s0^2)) is below eps / (1 + a lim + a^2 v), and the
+integrands grow no faster than that denominator (e <= 1, log Z <= a lim +
+a^2 v / 2, the tilted first moment) or than lim (t0 e), so the dropped
+tail is some 1e-25 relative, far below the sums' rounding. The kept nodes
+keep their positions and weights, so each kept term is the one the full
+rule forms and only the sums lose their last terms; respacing the panels
+over [0, t_cut] would move every node, and the outputs by the rule's own
+error. Larger constellations and constant envelope have no accurate
+tilted moments here, so their broken solve is refused; the degenerate
+c = 0 solve needs no tilt and covers every constellation.
 """
 
 from __future__ import annotations
@@ -57,6 +66,9 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # binary outer panels narrow to the tilt's scale 1/a; below it the panels at
 # the Gaussian scale err by about 1e-11 relative at 3 and 1e-8 at 5.
 _SHARP_TILT = 6.0
+# Relative size of the binary outer tail that is not evaluated (see the
+# module docstring); 0 keeps every node.
+_TAIL_EPS = 1e-25
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,16 @@ _GL16 = leggauss(16)
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
+@lru_cache(maxsize=None)
+def _erf_ufuncs():
+    """scipy.special's (log_ndtr, ndtr), imported on the first call only.
+
+    Deferred: importing rsb (every sweep does) loads no scipy.special.
+    """
+    from scipy.special import log_ndtr, ndtr
+    return log_ndtr, ndtr
+
+
 @lru_cache(maxsize=64)
 def _half_panels(count, centre):
     """Positive nodes of `count` equal 16-point panels, weights doubled.
@@ -111,33 +133,13 @@ def _half_panels(count, centre):
 # closed-form inner integrals for the binary constellation
 # ---------------------------------------------------------------------------
 
-def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
-    """Tilted moments for the binary constellation, closed-form inner part.
+def _outer_nodes(theta, a, s0, s, v):
+    """Ascending outer nodes t0 > 0 and weights of the binary kernel.
 
-    Returns (E|x|^2, E Re{x s_rs*}, E Re{x s1*}, eta, E log Z) where the
-    tilted inner average is taken before the outer expectation. Raises
-    DomainError where the scalar problem is not well-posed, and unless xi,
-    rho_rs, rho1 and mu are positive (a NaN is not).
-
-    At the outer value t0 the effective real input is t = t0 + z with
-    z ~ N(0, v); the tilt is exp(a(|t| - theta)) outside the dead zone
-    |t| <= theta and 1 inside, and the output is sqrt(P) sign(t) outside,
-    0 inside. The outer nodes are t0 > 0 with doubled weights; row 0 of
-    u = (t0, -t0) is the active region t > theta at t0, and row 1 the
-    region t < -theta there, as its mirror image t > theta at -t0.
+    Composite 16-point Gauss-Legendre panels over [0, lim], narrowed to
+    width 1/a near the dead zone past _SHARP_TILT; only their leading run
+    up to t_cut is returned, unchanged.
     """
-    # deferred: importing rsb (every sweep does) loads no scipy.special
-    from scipy.special import log_ndtr, ndtr
-
-    shrink = check_domain(penalty, xi)
-    if not (xi > 0 and rho_rs > 0 and rho1 > 0 and mu > 0):
-        raise DomainError("binary tilted moments need xi, rho_rs, rho1, mu "
-                          f"> 0, got {xi}, {rho_rs}, {rho1}, {mu}")
-    root_p = math.sqrt(support.peak_power)
-    theta = root_p * shrink / 2.0
-    a = 2.0 * root_p * mu / xi
-    v, v0 = rho1 / 2.0, rho_rs / 2.0
-    s0, s = math.sqrt(v0), math.sqrt(v)
     lim = 12.0 * s0 + theta + 3.0 * (a * v + s)
     scale = max(s0, s)
     if a * scale <= _SHARP_TILT:
@@ -154,13 +156,55 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
     x_out, w_out = _half_panels(math.ceil(span / (2.0 * scale)), False)
     t0 = np.concatenate((inner * x_in, inner + span * x_out))
     wt = np.concatenate((inner * w_in, span * w_out))
+    log_inv_eps = -math.log(_TAIL_EPS) if _TAIL_EPS > 0 else math.inf
+    t_cut = s0 * math.sqrt(2.0 * (log_inv_eps
+                                  + math.log1p(a * lim + a * a * v)))
+    n = t0.searchsorted(t_cut, "right")
+    return t0[:n], wt[:n]
+
+
+def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
+    """Tilted moments for the binary constellation, closed-form inner part.
+
+    Returns (E|x|^2, E Re{x s_rs*}, E Re{x s1*}, eta, E log Z) where the
+    tilted inner average is taken before the outer expectation. Raises
+    DomainError where the scalar problem is not well-posed, and unless xi,
+    rho_rs, rho1 and mu are positive (a NaN is not).
+
+    At the outer value t0 the effective real input is t = t0 + z with
+    z ~ N(0, v); the tilt is exp(a(|t| - theta)) outside the dead zone
+    |t| <= theta and 1 inside, and the output is sqrt(P) sign(t) outside,
+    0 inside. The outer nodes are t0 > 0 with doubled weights; row 0 of
+    u = (t0, -t0) is the active region t > theta at t0, and row 1 the
+    region t < -theta there, as its mirror image t > theta at -t0.
+
+    The outer rule stops at t_cut (_outer_nodes), past which the Gaussian
+    weight is below _TAIL_EPS / (1 + a lim + a^2 v): each integral loses
+    some 1e-25 of its size (module docstring). The kept nodes are
+    the full rule's, at the same positions with the same weights, and
+    each term is formed in the same order, so the outputs move only by
+    the rounding of the shorter sums (under 1e-15 relative).
+    """
+    log_ndtr, ndtr = _erf_ufuncs()
+    shrink = check_domain(penalty, xi)
+    if not (xi > 0 and rho_rs > 0 and rho1 > 0 and mu > 0):
+        raise DomainError("binary tilted moments need xi, rho_rs, rho1, mu "
+                          f"> 0, got {xi}, {rho_rs}, {rho1}, {mu}")
+    root_p = math.sqrt(support.peak_power)
+    theta = root_p * shrink / 2.0
+    a = 2.0 * root_p * mu / xi
+    v, v0 = rho1 / 2.0, rho_rs / 2.0
+    s0, s = math.sqrt(v0), math.sqrt(v)
+    t0, wt = _outer_nodes(theta, a, s0, s, v)
     u = _SIGNS * t0
     half = 0.5 * a * a * v
-    x = (theta - u - a * v) / s
+    d = theta - u
+    x = (d - a * v) / s
     tilt, lg = a * (u - theta), log_ndtr(-x)
     log_r = tilt + half + lg
-    # dead zone, tilt 1: Phi((theta - t0)/s) - Phi((-theta - t0)/s)
-    z_c = ndtr((_SIGNS * theta - t0) / s)
+    # dead zone, tilt 1: Phi((theta - t0)/s) - Phi((-theta - t0)/s), where
+    # -theta - t0 = -(theta - u[1]) exactly
+    z_c = ndtr(_SIGNS * d / s)
     with np.errstate(divide="ignore"):
         l_c = np.log(np.maximum(z_c[0] - z_c[1], 0.0))
     log_z = np.logaddexp(np.logaddexp(log_r[0], log_r[1]), l_c)
@@ -196,21 +240,24 @@ def _damped_fixed_point(step, x0, tol, max_iter, bound):
     and info of the last completed step (inf and None before the first),
     and whether it converged within max_iter steps.
     """
-    x = tuple(float(v) for v in x0)
+    x = tuple(map(float, x0))
     residuals, info = (np.inf,) * len(x), None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
-            if not all(np.isfinite(v) and v <= b for v, b in zip(x, bound)):
-                return x, residuals, info, False
+            for v, b in zip(x, bound):
+                if not (math.isfinite(v) and v <= b):
+                    return x, residuals, info, False
             try:
                 x_new, info = step(x)
             except DomainError:
                 return x, residuals, info, False
-            if not all(np.isfinite(v) for v in x_new):
-                return x, residuals, info, False
-            residuals = tuple(abs(n - v) for n, v in zip(x_new, x))
-            x = tuple(max(v + _DAMPING * (n - v), 0.0)
-                      for n, v in zip(x_new, x))
+            res, damped = [], []
+            for n, v in zip(x_new, x):
+                if not math.isfinite(n):
+                    return x, residuals, info, False
+                res.append(abs(n - v))
+                damped.append(max(v + _DAMPING * (n - v), 0.0))
+            residuals, x = tuple(res), tuple(damped)
             if max(residuals) < tol:
                 return x, residuals, info, True
     return x, residuals, info, False
@@ -348,9 +395,10 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
             scenarios are covered by the symmetric solver.
         force_c_zero: solve the degenerate c = 0 system through the broken
             machinery; the result must match the symmetric solver.
-        mu_bracket: search interval for the scalar mu equation, scanned
-            upward on 20 geometric points up to the first sign change
-            between consecutive converged points, which is then bisected.
+        mu_bracket: search interval (lo, hi), 0 < lo < hi < inf, for the
+            scalar mu equation, scanned upward on 20 geometric points up to
+            the first sign change between consecutive converged points,
+            which is then bisected.
 
     Returns:
         RsbSolution minimizing the broken-state distortion among converged
@@ -363,6 +411,10 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
             "one-step broken solver covers constellation supports; convex "
             "scenarios are handled by the symmetric solver")
     check_covered(spec.penalty, spec.support)
+    lo, hi = mu_bracket
+    if not 0 < lo < hi < np.inf:  # a NaN fails too
+        raise ConfigurationError(
+            f"mu_bracket must satisfy 0 < lo < hi < inf, got {mu_bracket}")
 
     if force_c_zero:
         return _forced_rs(spec)
@@ -375,7 +427,6 @@ def solve_rsb1(spec: ScenarioSpec, force_c_zero=False,
     rs = solve_rs_scenario(spec)
     starts = tuple((rs.chi, rs.p, f * max(rs.p, 0.1))
                    for f in (0.02, 0.2, 1.0))
-    lo, hi = mu_bracket
     # (a, fa) is the last converged grid point below mu
     residuals, saw_degenerate = {}, False
     for mu in np.geomspace(lo, hi, 20):

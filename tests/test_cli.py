@@ -96,6 +96,17 @@ def test_simulate_negative_ridge_weight_is_rzf(capsys):
     assert payload["distortion_mean"] == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("rho", ["nan", "inf", "-1"])
+def test_simulate_rho_not_finite_and_nonnegative_exits_2(capsys, rho):
+    # nan and inf ran both APG trials to the 50,000-iteration cap (4.5 s)
+    # and exited 0; the first solve now refuses them before any step
+    assert main(["simulate", "--alpha-inv", "2", "--n", "16", "--trials",
+                 "2", "--rho", rho]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rho must be finite and nonnegative" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["replica", "--lambda2", "0.5"],
     ["tune", "--power", "0.5", "--eta", "0.3"],

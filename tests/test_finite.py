@@ -283,6 +283,33 @@ def test_stationary_reports_nonconvergence_and_rejects_weights():
         glse_stationary(h, s, 1.0, PenaltySpec(lambda0=0.1, lambda1=-0.1))
 
 
+_SOLVERS = {
+    "convex": lambda h, s, rho: glse_convex(
+        h, s, rho, PenaltySpec(lambda2=0.3), SupportSpec.full_complex()),
+    "convex_stack": lambda h, s, rho: glse_convex_stack(
+        h[None], s[None], rho, PenaltySpec(lambda2=0.3),
+        SupportSpec.full_complex()),
+    "stationary": lambda h, s, rho: glse_stationary(
+        h, s, rho, PenaltySpec(lambda2=-0.05)),
+    "rzf": lambda h, s, rho: rzf(h, s, rho, 0.3),
+    "exhaustive_l0": lambda h, s, rho: glse_exhaustive_l0(
+        h, s, rho, PenaltySpec(lambda2=0.1, lambda0=0.3)),
+    "exhaustive_discrete": lambda h, s, rho: glse_exhaustive_discrete(
+        h, s, rho, 0.2, SupportSpec.mpsk_zero(2, 2.5)),
+}
+
+
+@pytest.mark.parametrize("rho", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+def test_solvers_need_a_finite_nonnegative_rho(solver, rho):
+    # rzf and glse_exhaustive_l0 returned a NaN distortion here,
+    # glse_stationary NaN at nan and inf, glse_exhaustive_discrete a numpy
+    # ValueError, and glse_convex ran to its iteration cap at nan and inf
+    h, s = _instance(6, 3, 29)
+    with pytest.raises(ConfigurationError, match="rho must be finite"):
+        _SOLVERS[solver](h, s, rho)
+
+
 def test_exhaustive_l0_is_global_minimum():
     h, s = _instance(8, 4, 23)
     pen = PenaltySpec(lambda2=0.1, lambda0=0.3)

@@ -5,11 +5,12 @@ from scipy.special import ndtri
 from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (ScenarioSpec, _active_segments, _ray_moments,
-                          _tune_root, _unpack_shrink_chi, generic_moments,
-                          heuristic_rate, lemma2_bound, qfunc,
-                          random_tas_asymptote, rate_lower_bound,
+                          _tune_root, _unpack_shrink_chi, _w, _w_prime,
+                          generic_moments, heuristic_rate, lemma2_bound,
+                          qfunc, random_tas_asymptote, rate_lower_bound,
                           rs_distortion, scenario_moments, solution_at,
                           solve_rs_generic, solve_rs_scenario, tune)
+from glse.rmt import r_transform, r_transform_derivative
 
 FULL = SupportSpec.full_complex()
 
@@ -477,3 +478,18 @@ def test_rs_distortion_unit_atom_reduction():
     for chi, p in ((0.5, 0.3), (2.0, 0.8), (-15.0, 0.5)):
         assert rs_distortion(spec, chi, p) == pytest.approx(
             (spec.rho + p) / (1 + chi) ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("atoms,pole", [
+    (((1.0, 1.0),), -1.0), (((0.5, 0.25), (2.0, 0.75)), -0.5)])
+def test_w_on_validated_atoms_matches_the_r_transform(atoms, pole):
+    # _w and _w_prime skip the atom validation the public transforms do,
+    # with the same bits; a pole still raises
+    spec = ScenarioSpec(PenaltySpec(lambda2=0.3), FULL, 0.7, 1.0, atoms)
+    for chi in (-3.0, -0.7, 0.0, 0.4, 2.5):
+        assert _w(spec, chi) == r_transform(0.7, atoms, -chi)
+        assert _w_prime(spec, chi) == -r_transform_derivative(0.7, atoms,
+                                                              -chi)
+    for fn in (_w, _w_prime):
+        with pytest.raises(DomainError, match="pole"):
+            fn(spec, pole)

@@ -86,6 +86,17 @@ def test_broken_solve_covers_binary_constellation_only(support):
         solve_rsb1(spec)
 
 
+@pytest.mark.parametrize("bracket", [(10.0, 4.0), (0.0, 10.0), (-1.0, 5.0),
+                                     (np.nan, 5.0)])
+def test_mu_bracket_must_be_positive_and_ordered(bracket):
+    # at the rsb_bpsk spec, (10, 4) returned mu 6.63704 with a mu residual
+    # of 1.05e-3, (0, 10) raised numpy's ValueError, and (-1, 5) and
+    # (nan, 5) asked to widen the bracket
+    spec, _ = _tuned(BPSK, 2.5)
+    with pytest.raises(ConfigurationError, match="mu_bracket"):
+        solve_rsb1(spec, mu_bracket=bracket)
+
+
 def test_failed_bisection_step_returns_a_solved_mu(monkeypatch):
     # the rsb_bpsk benchmark spec; every inner solve at the first bisection
     # point fails, so the search must stop at a mu it has solved, with that
@@ -274,6 +285,63 @@ def test_half_panels_integrate_polynomials(count, centre):
     for k in range(16):
         power = 2 * k if centre else k
         assert w @ x ** power == pytest.approx(2.0 / (power + 1), rel=1e-13)
+
+
+def _random_kernel_states(count, seed):
+    """Seeded (lambda2, xi, rho_rs, rho1, mu) over both panel regimes."""
+    rng = np.random.default_rng(seed)
+    lambda2 = rng.uniform(-0.1, 0.5, count)
+    xi = rng.uniform(0.3, 8.0, count)
+    rho_rs, rho1, mu = np.exp(rng.uniform(
+        np.log([0.01, 0.01, 0.05]), np.log([5.0, 5.0, 300.0]), (count, 3))).T
+    return list(zip(lambda2, xi, rho_rs, rho1, mu))
+
+
+def _node_args(lambda2, xi, rho_rs, rho1, mu):
+    """_outer_nodes' (theta, a, s0, s, v) as _binary_moments forms them."""
+    root_p = np.sqrt(BPSK.peak_power)
+    v = rho1 / 2.0
+    return (root_p * (1.0 + xi * lambda2) / 2.0, 2.0 * root_p * mu / xi,
+            np.sqrt(rho_rs / 2.0), np.sqrt(v), v)
+
+
+def test_tail_cut_matches_the_full_rule(monkeypatch):
+    # the kept nodes' terms are formed as over the full rule (eps = 0), so
+    # only the sums' rounding moves; both panel regimes are covered
+    states = _random_kernel_states(3000, 17)
+    regimes = set()
+    for lambda2, xi, rho_rs, rho1, mu in states:
+        penalty = PenaltySpec(lambda2=lambda2)
+        cut = _binary_moments(penalty, BPSK, xi, rho_rs, rho1, mu)
+        with monkeypatch.context() as m:
+            m.setattr(rsb, "_TAIL_EPS", 0.0)
+            full = _binary_moments(penalty, BPSK, xi, rho_rs, rho1, mu)
+        for got, ref in zip(cut, full):
+            assert abs(got - ref) <= 1e-14 * max(abs(ref), 1e-3), (
+                lambda2, xi, rho_rs, rho1, mu, cut, full)
+        _, a, s0, s, _ = _node_args(lambda2, xi, rho_rs, rho1, mu)
+        regimes.add(a * max(s0, s) <= rsb._SHARP_TILT)
+    assert regimes == {True, False}
+
+
+def test_tail_cut_keeps_the_leading_nodes(monkeypatch):
+    # the cut rule is a prefix of the full one, node for node and weight for
+    # weight, and every node it drops has a Gaussian factor below eps
+    dropped = {True: 0, False: 0}
+    for state in _random_kernel_states(400, 18):
+        theta, a, s0, s, v = _node_args(*state)
+        t0, wt = rsb._outer_nodes(theta, a, s0, s, v)
+        with monkeypatch.context() as m:
+            m.setattr(rsb, "_TAIL_EPS", 0.0)
+            t_full, w_full = rsb._outer_nodes(theta, a, s0, s, v)
+        assert 0 < t0.size <= t_full.size
+        np.testing.assert_array_equal(t0, t_full[:t0.size])
+        np.testing.assert_array_equal(wt, w_full[:t0.size])
+        assert np.all(np.diff(t_full) > 0)
+        gauss = np.exp(-0.5 * (t_full[t0.size:] / s0) ** 2)
+        assert np.all(gauss < rsb._TAIL_EPS)
+        dropped[a * max(s0, s) <= rsb._SHARP_TILT] += t_full.size - t0.size
+    assert dropped[True] > 0 and dropped[False] > 0
 
 
 def test_damped_fixed_point_cases():
