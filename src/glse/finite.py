@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec, prox
+from .penalties import (DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec,
+                        _prox_terms, _soft_threshold, prox)
 
 MAX_ENUM_L0 = 16
 MAX_ENUM_DISCRETE = 10**8
@@ -89,16 +90,17 @@ def _output(h, s, rho, penalty, x, iterations, converged, residual=None,
     )
 
 
-def _capped_prox(penalty, support, w, step, power_cap):
-    """Proximal map with an optional average-power ball constraint, per row.
+def _advance(gv, v, hts, step, tau1, shrink, root_p, power_cap):
+    """Capped prox(v - step * grad) per row, grad = 2(G v - H^H hs).
 
-    w is a (B, N) stack and step a (B, 1) column; each row is kept inside
-    its own ball ||v||^2 <= N * power_cap. The ball prox is exact
-    composition: soft thresholding fixes the active set independently of
-    any extra ridge multiplier, so projecting the thresholded point
-    radially onto the ball solves the joint subproblem.
+    gv is G v for a (B, N) stack v; hts, step and the soft-threshold terms
+    tau1, shrink, root_p (penalties._prox_terms) are per row. Each row is
+    kept inside its own ball ||v||^2 <= N * power_cap. The ball prox is
+    exact composition: soft thresholding fixes the active set
+    independently of any extra ridge multiplier, so projecting the
+    thresholded point radially onto the ball solves the joint subproblem.
     """
-    v = prox(penalty, support, w, step)
+    v = _soft_threshold(v - step * (2.0 * (gv - hts)), tau1, shrink, root_p)
     if power_cap is not None:
         budget = power_cap * v.shape[-1]
         nrm2 = np.vecdot(v, v).real
@@ -106,18 +108,6 @@ def _capped_prox(penalty, support, w, step, power_cap):
         if over.any():
             v[over] = v[over] * np.sqrt(budget / nrm2[over])[:, None]
     return v
-
-
-def _prox_grad_step(gram, hts, y, step, penalty, support, power_cap):
-    """x = capped prox(y - step * grad(y)) per row, grad = 2(G y - H^H hs)."""
-    grad = 2.0 * (np.matmul(gram, y[..., None])[..., 0] - hts)
-    return _capped_prox(penalty, support, y - step * grad, step, power_cap)
-
-
-def _stack_objective(h, hs, penalty, x):
-    """Per-row ||H x - hs||^2 + sum_n u(x_n) over a (B, N) stack x."""
-    resid = np.matmul(h, x[..., None])[..., 0] - hs
-    return np.vecdot(resid, resid).real + np.sum(penalty.value(x), axis=-1)
 
 
 def _row_norms(v):
@@ -131,10 +121,10 @@ def optimality_residual(h, s, rho, penalty, support, x, power_cap=None):
     gram = h.conj().T @ h
     hts = h.conj().T @ (np.sqrt(rho) * s)
     step = np.full((1, 1), 1.0 / lip)
-    x = np.asarray(x, dtype=complex)[None]
-    return float(np.linalg.norm(
-        x - _prox_grad_step(gram[None], hts[None], x, step, penalty, support,
-                            power_cap)))
+    x = np.asarray(x, dtype=complex)
+    return float(np.linalg.norm(x - _advance(
+        (gram @ x)[None], x[None], hts, step,
+        *_prox_terms(penalty, support, step), power_cap)))
 
 
 def glse_convex(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
@@ -178,9 +168,13 @@ def glse_convex_stack(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
     best iterate, plateau test, certificate and iteration count, and the
     arithmetic of each row is independent of the others: row b of the
     result equals glse_convex(h[b], s[b], ...) bit for bit, whatever stack
-    it is solved in. Rows leave the stack as they converge. max_iter None
-    means DEFAULT_MAX_ITER, read when called; the other arguments are
-    those of glse_convex.
+    it is solved in. Rows leave the stack as they converge. A row's step
+    does not change, so the prox's domain (check_domain at xi = 2 step) is
+    checked once per stack, and each row carries its soft-threshold terms.
+    A monotone restart or a plateau certificate advances, and evaluates
+    the objective on, only the rows that need it. max_iter None means
+    DEFAULT_MAX_ITER, read when called; the other arguments are those of
+    glse_convex.
 
     Returns:
         list of B PrecodeOutput, in row order.
@@ -213,73 +207,96 @@ def glse_convex_stack(h, s, rho, penalty: PenaltySpec, support: SupportSpec,
     b, _, n = h.shape
     lip = np.array([2.0 * np.linalg.norm(hb, 2) ** 2 for hb in h])
     hs = np.sqrt(rho) * s
-    step = (1.0 / np.where(lip == 0, 1.0, lip))[:, None]
-    gram = np.empty((b, n, n), dtype=complex)
-    hts = np.empty((b, n), dtype=complex)
-    for i, hb in enumerate(h):
-        gram[i] = hb.conj().T @ hb
-        hts[i] = hb.conj().T @ hs[i]
-    x = np.zeros((b, n), dtype=complex)
-    y = x.copy()
-    t = np.ones(b)
-    f_best = _stack_objective(h, hs, penalty, x)
-    x_best = x.copy()
-    f_prev = f_best.copy()
+    outs = [None] * b
+    for i in np.flatnonzero(lip == 0):  # x = 0 is the answer, at once
+        outs[i] = _output(h[i], s[i], rho, penalty,
+                          np.zeros(n, dtype=complex), 0, True)
     # Row j of the running state is input row rows[j]; finished rows leave
     # every per-row array, so each step works on the running rows only.
-    rows = np.arange(b)
-    h_run, hs_run = h, hs
-    outs = [None] * b
+    rows = np.flatnonzero(lip != 0)
+    h_run, hs_run = (h, hs) if rows.size == b else (h[rows], hs[rows])
+    step = 1.0 / lip[rows, None]
+    # the prox's domain, checked once: the rows' steps do not change
+    tau1, shrink, root_p = _prox_terms(penalty, support, step)
+    gram = np.empty((rows.size, n, n), dtype=complex)
+    hts = np.empty((rows.size, n), dtype=complex)
+    for j, i in enumerate(rows):
+        gram[j] = h[i].conj().T @ h[i]
+        hts[j] = h[i].conj().T @ hs[i]
+
+    def matvec(a, v, sel):
+        # a[j] @ v[j] per running row j, or per row j in sel of them
+        # (matched to the rows of v): views of a, so a restart or a
+        # certificate gathers no matrices
+        if sel is None:
+            return np.matmul(a, v[..., None])[..., 0]
+        return np.array([a[j] @ vj for j, vj in zip(sel, v)])
+
+    def advance(v, sel=None):
+        at = slice(None) if sel is None else sel
+        return _advance(matvec(gram, v, sel), v, hts[at], step[at], tau1[at],
+                        shrink[at], root_p, power_cap)
+
+    def objective(v, sel=None):
+        # per row ||H v - hs||^2 + sum_n u(v_n)
+        at = slice(None) if sel is None else sel
+        resid = matvec(h_run, v, sel) - hs_run[at]
+        return np.vecdot(resid, resid).real + penalty.value(v).sum(axis=-1)
 
     def finish(done, iterations, converged):
-        nonlocal rows, h_run, hs_run, gram, step, hts, x, y, t, f_prev
-        nonlocal f_best, x_best
+        nonlocal rows, h_run, hs_run, gram, hts, step, tau1, shrink, x, y, t
+        nonlocal f_prev, f_best, x_best
         for j in done:
             i = rows[j]
             outs[i] = _output(h[i], s[i], rho, penalty, x_best[j].copy(),
                               iterations, converged)
         keep = np.ones(rows.size, dtype=bool)
         keep[done] = False
-        (rows, h_run, hs_run, gram, step, hts, x, y, t, f_prev, f_best,
-         x_best) = (a[keep] for a in (rows, h_run, hs_run, gram, step, hts,
-                                      x, y, t, f_prev, f_best, x_best))
+        # the Gram stack shrinks in place: a gathered copy would double it
+        kept = keep.nonzero()[0]
+        for j, i in enumerate(kept):
+            if i != j:
+                gram[j] = gram[i]
+        gram = gram[:kept.size]
+        (rows, h_run, hs_run, hts, step, tau1, shrink, x, y, t, f_prev,
+         f_best, x_best) = (a[keep] for a in (
+             rows, h_run, hs_run, hts, step, tau1, shrink, x, y, t, f_prev,
+             f_best, x_best))
 
-    def objective(v):
-        return _stack_objective(h_run, hs_run, penalty, v)
-
-    def advance(v):
-        return _prox_grad_step(gram, hts, v, step, penalty, support,
-                               power_cap)
-
-    finish(np.flatnonzero(lip == 0), 0, True)
+    x = np.zeros((rows.size, n), dtype=complex)
+    y = x.copy()
+    t = np.ones(rows.size)
+    f_best = objective(x)
+    x_best = x.copy()
+    f_prev = f_best.copy()
     it = 0
     for it in range(1, max_iter + 1):
         if rows.size == 0:
             break
         x_new = advance(y)
         f_new = objective(x_new)
-        restart = np.flatnonzero(f_new > f_prev)
+        restart = (f_new > f_prev).nonzero()[0]
         if restart.size:
-            # monotone restart: drop momentum and step from the last iterate
+            # monotone restart of those rows: drop momentum and step from
+            # the last iterate
             t[restart] = 1.0
-            y[restart] = x[restart]
-            x_new[restart] = advance(y)[restart]
-            f_new[restart] = objective(x_new)[restart]
+            x_new[restart] = advance(x[restart], restart)
+            f_new[restart] = objective(x_new[restart], restart)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = x_new + ((t - 1.0) / t_new)[:, None] * (x_new - x)
         x, t = x_new, t_new
         better = f_new < f_best
-        f_best[better] = f_new[better]
-        x_best[better] = x_new[better]
+        np.copyto(f_best, f_new, where=better)
+        np.copyto(x_best, x_new, where=better[:, None])
         plateau = (np.abs(f_prev - f_new)
-                   <= tol * np.maximum(np.abs(f_prev), 1e-300))
+                   <= tol * np.maximum(np.abs(f_prev), 1e-300)).nonzero()[0]
         f_prev = f_new
-        if plateau.any():
+        if plateau.size:
             # objective has plateaued; accept only with a certificate that
             # the proximal fixed-point residual is small as well
-            fp = _row_norms(x_new - advance(x_new))
-            done = np.flatnonzero(
-                plateau & (fp <= 1e-7 * (1.0 + _row_norms(x_new))))
+            xp = x_new[plateau]
+            fp = _row_norms(xp - advance(xp, plateau))
+            done = plateau[fp <= 1e-7 * (1.0 + _row_norms(xp))]
             if done.size:
                 finish(done, it, True)
     finish(range(rows.size), it, False)

@@ -47,8 +47,10 @@ class PenaltySpec:
     def value(self, v):
         """u(v), elementwise for arrays."""
         mag = np.abs(v)
-        return (self.lambda2 * mag**2 + self.lambda1 * mag
-                + self.lambda0 * (mag > 0))
+        u = self.lambda2 * mag**2 + self.lambda1 * mag
+        if self.lambda0 != 0:  # else the term adds zeros
+            u = u + self.lambda0 * (mag > 0)
+        return u
 
 
 @dataclass(frozen=True)
@@ -121,16 +123,32 @@ def _all(cond):
 
 def _unit(s, mag):
     """s/|s| elementwise, 0 where s = 0."""
+    if not np.count_nonzero(mag < _TINY):
+        return s / mag
     num, den = s, mag
-    if np.count_nonzero(mag < _TINY):
-        # s / |s| overflows in the complex division for subnormal |s|;
-        # scaling by a power of two is exact and keeps the phase
-        sub = (mag > 0) & (mag < _TINY)
-        if sub.any():
-            num = s.copy()
-            num[sub] *= _SUBNORMAL_SCALE
-            den = np.abs(num)
+    # s / |s| overflows in the complex division for subnormal |s|;
+    # scaling by a power of two is exact and keeps the phase
+    sub = (mag > 0) & (mag < _TINY)
+    if sub.any():
+        num = s.copy()
+        num[sub] *= _SUBNORMAL_SCALE
+        den = np.abs(num)
     return num / (den + (den == 0))
+
+
+def _soft_threshold(s, tau1, shrink, root_p):
+    """The l1 scalar precoder: soft threshold at tau1 = xi*lambda1/2 (the
+    ridge when tau1 = 0), scaled by 1/shrink, shrink = 1 + xi*lambda2, and
+    clipped to the radius root_p unless it is infinite.
+
+    tau1 and shrink may be arrays that broadcast against s (one per row of
+    a stack); the caller has checked the domain (check_domain).
+    """
+    mag = np.abs(s)
+    r = np.maximum(mag - tau1, 0.0) / shrink
+    if root_p < np.inf:
+        r = np.minimum(r, root_p)
+    return r * _unit(s, mag)
 
 
 def check_covered(penalty: PenaltySpec, support: SupportSpec):
@@ -178,6 +196,8 @@ def _decouple(s, xi, penalty, support):
     shrink = check_domain(penalty, xi)
     lam0, lam1 = penalty.lambda0, penalty.lambda1
     root_p = np.inf if support.kind == FULL else np.sqrt(support.peak_power)
+    if support.kind in (FULL, DISK) and lam0 == 0:
+        return _soft_threshold(s, xi * lam1 / 2.0, shrink, root_p)
     mag = np.abs(s)
     if support.kind == MPSK_ZERO:
         # nearest phase e^{j 2k pi/M} (first max: ties toward smaller k),
@@ -192,12 +212,6 @@ def _decouple(s, xi, penalty, support):
         return np.where(on, support.constellation()[best + 1], 0.0)
     if support.kind == CONST_ENVELOPE:
         r = np.where(mag > root_p * shrink / 2.0, root_p, 0.0)
-    elif lam0 == 0:
-        # soft threshold (the ridge when lambda1 = 0), clipped to the disk
-        tau1 = xi * lam1 / 2.0
-        r = np.maximum(mag - tau1, 0.0) / shrink
-        if support.kind == DISK:
-            r = np.minimum(r, root_p)
     else:
         # hard threshold: linear band (tau0, tau_clip], rim above tau_hat
         # (both infinite on the full plane)
@@ -271,12 +285,24 @@ def prox(penalty: PenaltySpec, support: SupportSpec, w, step):
     broadcasts against w (one step per row of a stack). The phase of w is
     preserved.
     """
+    out = _soft_threshold(np.asarray(w, dtype=complex),
+                          *_prox_terms(penalty, support, step))
+    return complex(out) if out.ndim == 0 else out
+
+
+def _prox_terms(penalty: PenaltySpec, support: SupportSpec, step):
+    """(tau1, shrink, root_p) of prox at step, for _soft_threshold.
+
+    Makes every check of prox; a caller whose steps do not change (a
+    stack of proximal-gradient iterations) makes them once.
+    """
     if penalty.lambda0 != 0:
         raise ConfigurationError("prox requires lambda0 = 0 (convex penalty)")
     if support.kind not in (FULL, DISK):
         raise ConfigurationError("prox covers full-plane and disk supports")
     if not np.all(step > 0):
         raise ConfigurationError("step must be positive")
-    out = _decouple(np.asarray(w, dtype=complex), 2.0 * step, penalty,
-                    support)
-    return complex(out) if out.ndim == 0 else out
+    xi = 2.0 * step
+    shrink = check_domain(penalty, xi)
+    root_p = np.inf if support.kind == FULL else np.sqrt(support.peak_power)
+    return xi * penalty.lambda1 / 2.0, shrink, root_p

@@ -58,8 +58,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.load > 0:
             raise ConfigurationError("load must be positive")
-        if not self.rho > 0:
-            raise ConfigurationError("rho must be positive")
+        if not 0 < self.rho < np.inf:  # a NaN fails too
+            raise ConfigurationError(
+                f"rho must be finite and positive, got {self.rho}")
         object.__setattr__(self, "pathloss_atoms",
                            _validate_atoms(self.pathloss_atoms))
 

@@ -107,6 +107,21 @@ def test_simulate_rho_not_finite_and_nonnegative_exits_2(capsys, rho):
     assert "rho must be finite and nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("rho", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["replica", "--alpha-inv", "2", "--lambda2", "0.5"],
+    ["tune", "--alpha-inv", "2", "--power", "0.5", "--eta", "0.3"],
+], ids=["replica", "tune"])
+def test_replica_and_tune_rho_not_finite_and_positive_exits_2(capsys, argv,
+                                                              rho):
+    # inf ran both solvers into a NaN variance: "solver failure", exit 0
+    # (3 under --strict); the scenario now refuses it, as it did nan and 0
+    assert main(["--strict"] + argv + ["--rho", rho]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rho must be finite and positive" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["replica", "--lambda2", "0.5"],
     ["tune", "--power", "0.5", "--eta", "0.3"],

@@ -152,10 +152,30 @@ STACK_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(STACK_CASES))
+# the benchmark sweep's two operating points, (alpha_inv, eta): full/l1
+# weights tuned to power 0.5 and the sweep's first stack, 16 channels at
+# N = 64 from seed 1234; as above, one channel of each stack is all zero
+SWEEP_POINTS = {"sweep_alpha_inv_2": (2.0, 0.7),
+                "sweep_alpha_inv_4": (4.0, 0.5)}
+
+
+def _stack_case(case):
+    """(penalty, support, power_cap, max_iter, n, k, seeds) of a case."""
+    if case in STACK_CASES:
+        return STACK_CASES[case] + (16, 8, range(6))
+    alpha_inv, eta = SWEEP_POINTS[case]
+    sup = SupportSpec.full_complex()
+    base = ScenarioSpec(penalty=PenaltySpec(), support=sup,
+                        load=1.0 / alpha_inv, rho=1.0)
+    pen, _ = tune(base, 0.5, eta, sparsity="l1")
+    return (pen, sup, None, finite.DEFAULT_MAX_ITER, 64, int(64 / alpha_inv),
+            range(1234, 1250))
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES) + sorted(SWEEP_POINTS))
 def test_convex_stack_equals_single_solves(case):
-    pen, sup, cap, max_iter = STACK_CASES[case]
-    pairs = [_trial_instance(16, 8, seed) for seed in range(6)]
+    pen, sup, cap, max_iter, n, k, seeds = _stack_case(case)
+    pairs = [_trial_instance(n, k, seed) for seed in seeds]
     h = np.stack([p[0] for p in pairs])
     s = np.stack([p[1] for p in pairs])
     h[2] = 0.0
@@ -178,6 +198,10 @@ def test_convex_stack_equals_single_solves(case):
     else:
         assert all(out.converged for out in stacked)
         assert len(set(iters)) > 2 and max(restarts) > 0
+        # the rows restart a different number of times: restarts are
+        # per row, not per stack
+        del restarts[2]
+        assert len(set(restarts)) > 1
     if cap is not None:
         # the ball is ||x||^2 <= N * cap, N = 16, whatever the stack size
         assert max(out.power for out in stacked) == pytest.approx(cap)

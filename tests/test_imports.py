@@ -1,7 +1,9 @@
 """Import budget: a full-plane sweep runs without scipy or a process pool.
 
 Importing glse and glse.cli and running a full-plane sweep load no scipy
-module; a constellation tune then loads scipy.optimize and scipy.special.
+module, nor does a `glse simulate` on raw l1 weights (the proximal-
+gradient path); a constellation tune then loads scipy.optimize and
+scipy.special.
 The check runs in a fresh interpreter, since this test process has
 already imported whatever the other tests needed.
 """
@@ -24,6 +26,13 @@ assert main(["--strict", "sweep", "--config", config,
 loaded = [name for name in sys.modules
           if name.startswith("scipy") or name == "concurrent.futures.process"]
 assert not loaded, f"loaded by a full-plane sweep: {loaded}"
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["simulate", "--alpha-inv", "2", "--n", "8", "--trials", "2",
+               "--lambda2", "0.1", "--lambda1", "0.2"])
+assert rc == 0, rc
+loaded = [name for name in sys.modules if name.startswith("scipy")]
+assert not loaded, f"loaded by an APG simulate: {loaded}"
 
 with contextlib.redirect_stdout(io.StringIO()):
     rc = main(["--strict", "tune", "--kind", "mpsk_zero", "--order", "2",
