@@ -68,12 +68,13 @@ class GridPoint:
     sigma2: float | None = None
 
     def __post_init__(self):
-        if not self.alpha_inv > 0:
-            raise ConfigurationError("alpha_inv must be positive")
+        for name in ("alpha_inv", "power", "rho"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # a NaN fails too
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value}")
         if not (0 < self.eta <= 1):
             raise ConfigurationError("eta must lie in (0, 1]")
-        if not (self.power > 0 and self.rho > 0):
-            raise ConfigurationError("power and rho must be positive")
 
 
 def _config_int(value, name):

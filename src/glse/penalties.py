@@ -64,8 +64,10 @@ class SupportSpec:
     def __post_init__(self):
         if self.kind not in (FULL, DISK, MPSK_ZERO, CONST_ENVELOPE):
             raise ConfigurationError(f"unknown support kind {self.kind!r}")
-        if self.kind != FULL and not self.peak_power > 0:
-            raise ConfigurationError("peak_power must be positive")
+        if self.kind != FULL and not 0 < self.peak_power < np.inf:
+            raise ConfigurationError(
+                f"peak_power must be finite and positive, got "
+                f"{self.peak_power}")
         if self.kind == MPSK_ZERO and self.order < 2:
             raise ConfigurationError("constellation order must be >= 2")
 

@@ -69,9 +69,10 @@ class ScenarioSpec:
 class RsSolution:
     """Replica-symmetric state and derived quantities.
 
-    From solve_rs_*, the first hybr root over the starts; from tune, the
-    tuned closed-form or root-found state. residuals holds |step - x| per
-    unknown ("chi", "p") at the returned state (solution_at).
+    From solve_rs_*, the first root over the starts (_first_root); from
+    tune, the tuned closed-form or root-found state. residuals holds
+    |step - x| per unknown ("chi", "p") at the returned state
+    (solution_at).
     """
 
     chi: float
@@ -389,29 +390,78 @@ def generic_moments(penalty, support, xi, rho_rs):
 # root-finder
 # ---------------------------------------------------------------------------
 
-def _hybr_root(equations, starts, error, failure):
-    """The first hybr root of equations over the starts, tried in order.
+def _residual(equations, z):
+    """F(z) as a float array; DomainError when an entry is not finite."""
+    f = np.asarray(equations(z), dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise DomainError(f"non-finite residual {f} at {z}")
+    return f
 
-    A root counts when hybr reports success and every residual is below
-    1e-9; a start whose iterate leaves the scalar problem's domain
-    (DomainError) is dropped. When no start gives a root, raises error with
+
+def _chord_newton(equations, z):
+    """(z, F(z)) where damped chord-Newton steps from z stop.
+
+    The Jacobian is a forward difference with steps sqrt(eps) max(|z_i|, 1)
+    and is kept while full steps cut |F| tenfold; otherwise it is refreshed.
+    Each step halves its length until |F| drops by the Armijo fraction 1e-4
+    of it. The iteration stops after a step below 1e-13 (1 + |z|), taken
+    whole, when the halving stalls on a fresh Jacobian, or after 100
+    steps. A singular Jacobian raises numpy's LinAlgError.
+    """
+    f = _residual(equations, z)
+    norm, jac = np.linalg.norm(f), None
+    for _ in range(100):
+        fresh = jac is None
+        if fresh:
+            h = np.sqrt(np.finfo(float).eps) * np.maximum(np.abs(z), 1.0)
+            jac = np.column_stack([(_residual(equations, z + dz) - f) / hi
+                                   for dz, hi in zip(np.diag(h), h)])
+        step = np.linalg.solve(jac, -f)
+        length = np.linalg.norm(step)
+        tol = 1e-13 * (1.0 + np.linalg.norm(z))
+        if length < tol:  # the last step: take it whole
+            z = z + step
+            return z, _residual(equations, z)
+        t = 1.0
+        while t * length >= tol:
+            z_new = z + t * step
+            f_new = _residual(equations, z_new)
+            norm_new = np.linalg.norm(f_new)
+            if norm_new <= (1.0 - 1e-4 * t) * norm:
+                break
+            t *= 0.5
+        else:  # the halving stalled
+            if fresh:
+                break
+            jac = None
+            continue
+        if t < 1.0 or norm_new > 0.1 * norm:
+            jac = None
+        z, f, norm = z_new, f_new, norm_new
+    return z, f
+
+
+def _first_root(equations, starts, error, failure):
+    """The first root of equations over the starts, tried in order.
+
+    Each start runs _chord_newton, and gives a root when every |F| there
+    is below 1e-9. A start whose iterate leaves the scalar problem's
+    domain or makes F non-finite (DomainError), or meets a singular
+    Jacobian, is dropped. When no start gives a root, raises error with
     the failure message and the last residual.
     """
-    # deferred: a full-plane sweep makes no RS solve and tunes in closed form
-    from scipy.optimize import root
-
     residual = None
-    # a hybr step that overflows exp gives a NaN state: DomainError drops it
+    # a step that overflows exp gives a NaN state: DomainError drops it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for z0 in starts:
             try:
-                sol = root(equations, z0, method="hybr", tol=1e-13)
-            except DomainError as exc:
+                z, residual = _chord_newton(equations,
+                                            np.asarray(z0, dtype=float))
+            except (DomainError, np.linalg.LinAlgError) as exc:
                 residual = exc
                 continue
-            residual = sol.fun
-            if sol.success and np.max(np.abs(sol.fun)) < 1e-9:
-                return sol.x
+            if np.max(np.abs(residual)) < 1e-9:
+                return z
     raise error(f"{failure} (last residual {residual})")
 
 
@@ -427,15 +477,15 @@ def _solve_rs(spec, moments_fn, inits):
         power, cross, _ = moments_fn(spec.penalty, spec.support, xi, rho_rs)
         return np.log([xi * cross / rho_rs, power]) - z
 
-    z = _hybr_root(equations, np.log(inits), ConvergenceError,
-                   "replica-symmetric fixed point did not converge")
+    z = _first_root(equations, np.log(inits), ConvergenceError,
+                    "replica-symmetric fixed point did not converge")
     return solution_at(spec, *np.exp(z), moments_fn)
 
 
 def solve_rs_scenario(spec: ScenarioSpec, inits=None) -> RsSolution:
     """Replica-symmetric fixed point using the analytic scenario moments.
 
-    hybr (_hybr_root) solves log(step(e^z)) - z = 0 in z = (log chi, log p),
+    _first_root solves log(step(e^z)) - z = 0 in z = (log chi, log p),
     step being the fixed-point map, from each start (chi0, p0) of inits in
     turn (default: CHI_INITS by P_INIT_FACTORS times rho). The first start
     that converges wins, not the lowest distortion among roots; a start
@@ -480,13 +530,13 @@ def _chi_from_q(q, what):
 
 
 def _tune_root(spec, p_t, unpack, targets, starts, failure):
-    """(penalty, chi) of the first hybr root over the starts, in order.
+    """(penalty, chi) of the first root over the starts, in order.
 
     unpack maps the unknowns z to (penalty, chi, xi); targets maps the
     moment names "power" and "eta" to their targets. The equations are
     moment - target for each entry of targets, in its order, then the chi
     equation of the fixed point, with rho_rs pinned by the power target.
-    The root is _hybr_root's, with ConfigurationError(failure) if none.
+    The root is _first_root's, with ConfigurationError(failure) if none.
     """
     rho_rs = (spec.rho + p_t) / spec.load
 
@@ -497,8 +547,8 @@ def _tune_root(spec, p_t, unpack, targets, starts, failure):
         return ([moments[k] - v for k, v in targets.items()]
                 + [chi - xi * cross / rho_rs])
 
-    return unpack(_hybr_root(equations, starts, ConfigurationError,
-                             failure))[:2]
+    return unpack(_first_root(equations, starts, ConfigurationError,
+                              failure))[:2]
 
 
 def _unpack_shrink_chi(spec):
@@ -625,8 +675,9 @@ def tune(spec: ScenarioSpec, target_power, target_eta, sparsity=None):
     """
     if not (0 < target_eta <= 1):
         raise ConfigurationError("target_eta must lie in (0, 1]")
-    if not target_power > 0:
-        raise ConfigurationError("target_power must be positive")
+    if not 0 < target_power < np.inf:  # a NaN fails too
+        raise ConfigurationError(
+            f"target_power must be finite and positive, got {target_power}")
     if sparsity is None:
         sparsity = "l1" if spec.penalty.lambda1 != 0 else "l0"
     if sparsity not in ("l0", "l1"):

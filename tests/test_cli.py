@@ -122,6 +122,20 @@ def test_replica_and_tune_rho_not_finite_and_positive_exits_2(capsys, argv,
     assert "rho must be finite and positive" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tune", "--alpha-inv", "2", "--power", "inf", "--eta", "0.5"],
+     "target_power must be finite and positive"),
+    (["replica", "--kind", "disk", "--peak-power", "inf", "--alpha-inv", "2",
+      "--lambda2", "0.5"], "peak_power must be finite and positive"),
+], ids=["tune_power", "replica_disk_peak_power"])
+def test_replica_and_tune_power_not_finite_exits_2(capsys, argv, message):
+    # both ran their solvers on an infinite power and exited 3 under --strict
+    assert main(["--strict"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["replica", "--lambda2", "0.5"],
     ["tune", "--power", "0.5", "--eta", "0.3"],
@@ -217,6 +231,21 @@ def test_malformed_sweep_config_exits_2(tmp_path, capsys, scenario, mc):
     assert main(["sweep", "--config", str(cfg),
                  "--output", str(tmp_path / "out.csv")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["rho", "power"])
+def test_sweep_grid_point_not_finite_exits_2(tmp_path, capsys, field):
+    # the row recorded the spec's ConfigurationError and --strict exited 3
+    cfg = tmp_path / "sweep.yaml"
+    point = {"alpha_inv": "2.0", "eta": "0.7", "power": "0.5", field: ".inf"}
+    cfg.write_text(
+        "spec_version: '1'\n"
+        "scenario: {kind: full, sparsity: l1}\n"
+        "grid:\n"
+        "  - {" + ", ".join(f"{k}: {v}" for k, v in point.items()) + "}\n")
+    assert main(["--strict", "sweep", "--config", str(cfg),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert f"{field} must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["missing.yaml", ".", "bad.yaml"],

@@ -29,6 +29,12 @@ def test_grid_point_validation():
         GridPoint(alpha_inv=2.0, eta=1.5, power=0.5)
     with pytest.raises(ConfigurationError):
         GridPoint(alpha_inv=2.0, eta=0.5, power=-1.0)
+    for value in (np.inf, np.nan):
+        for name in ("alpha_inv", "power", "rho"):
+            point = {"alpha_inv": 2.0, "eta": 0.5, "power": 0.5, name: value}
+            with pytest.raises(ConfigurationError,
+                               match=f"{name} must be finite and positive"):
+                GridPoint(**point)
 
 
 def test_sweep_config_validation():

@@ -2,8 +2,8 @@
 
 Importing glse and glse.cli and running a full-plane sweep load no scipy
 module, nor does a `glse simulate` on raw l1 weights (the proximal-
-gradient path); a constellation tune then loads scipy.optimize and
-scipy.special.
+gradient path), a disk tune or a disk `glse replica`; a constellation
+tune then loads scipy.special, but not scipy.optimize.
 The check runs in a fresh interpreter, since this test process has
 already imported whatever the other tests needed.
 """
@@ -34,12 +34,22 @@ assert rc == 0, rc
 loaded = [name for name in sys.modules if name.startswith("scipy")]
 assert not loaded, f"loaded by an APG simulate: {loaded}"
 
+for command in (["tune", "--kind", "disk", "--peak-power", "1.5",
+                 "--alpha-inv", "2", "--power", "0.5", "--eta", "0.7"],
+                ["replica", "--kind", "disk", "--peak-power", "1.5",
+                 "--alpha-inv", "2", "--lambda2", "0.5", "--lambda1", "0.2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["--strict"] + command)
+    assert rc == 0, (command, rc)
+    loaded = [name for name in sys.modules if name.startswith("scipy")]
+    assert not loaded, f"loaded by {command[:3]}: {loaded}"
+
 with contextlib.redirect_stdout(io.StringIO()):
     rc = main(["--strict", "tune", "--kind", "mpsk_zero", "--order", "2",
                "--peak-power", "2.5", "--alpha-inv", "2", "--power", "1",
                "--eta", "0.4"])
 assert rc == 0, rc
-assert "scipy.optimize" in sys.modules and "scipy.special" in sys.modules
+assert "scipy.special" in sys.modules and "scipy.optimize" not in sys.modules
 """
 
 

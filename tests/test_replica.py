@@ -4,12 +4,13 @@ from scipy.special import ndtri
 
 from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
-from glse.replica import (ScenarioSpec, _active_segments, _ray_moments,
-                          _tune_root, _unpack_shrink_chi, _w, _w_prime,
-                          generic_moments, heuristic_rate, lemma2_bound,
-                          qfunc, random_tas_asymptote, rate_lower_bound,
-                          rs_distortion, scenario_moments, solution_at,
-                          solve_rs_generic, solve_rs_scenario, tune)
+from glse.replica import (ScenarioSpec, _active_segments, _first_root,
+                          _ray_moments, _tune_root, _unpack_shrink_chi, _w,
+                          _w_prime, generic_moments, heuristic_rate,
+                          lemma2_bound, qfunc, random_tas_asymptote,
+                          rate_lower_bound, rs_distortion, scenario_moments,
+                          solution_at, solve_rs_generic, solve_rs_scenario,
+                          tune)
 from glse.rmt import r_transform, r_transform_derivative
 
 FULL = SupportSpec.full_complex()
@@ -282,7 +283,7 @@ def _bpsk_rsb_spec():
     (_bpsk_rsb_spec, None, None),
     # a second root of the quick-start spec, with lower distortion (0.2021
     # against 0.2598); the default starts still return the tuned root
-    (_quick_start_spec, [(0.1, 10.0)], (3.3076835423, 2.7505691493)),
+    (_quick_start_spec, [(3.0, 3.0)], (3.3076835423, 2.7505691493)),
 ], ids=["disk_l0", "quick_start", "bpsk_rsb", "quick_start_second_root"])
 def test_rs_solution_is_a_certified_root(make_spec, inits, expected):
     spec = make_spec()
@@ -362,8 +363,9 @@ def test_tune_constellation_power_consistency():
 
 
 def test_tune_constellation_finds_the_coercive_root():
-    # hybr in (log(1 + lambda2), log chi) reached lambda2 = -0.3332 here,
-    # where 1 + xi*lambda2 = -0.70; in log(shrink) it stays in the domain
+    # a root-find in (log(1 + lambda2), log chi) reached lambda2 = -0.3332
+    # here, where 1 + xi*lambda2 = -0.70; in log(shrink) it stays in the
+    # domain
     sup = SupportSpec.mpsk_zero(2, 2.5)
     spec = _spec(PenaltySpec(), sup, load=1.0 / 1.5)
     pen, sol = tune(spec, 0.7 * 2.5, 0.7)
@@ -414,6 +416,37 @@ def test_tune_root_drops_a_start_outside_the_domain():
     with pytest.raises(ConfigurationError, match="no root"):
         _tune_root(spec, 1.0, unpack, {"eta": 0.4}, ([-800.0, 0.0],),
                    "no root")
+
+
+def _two_roots(z):
+    # roots at z = (+-1, 0); the residual is not finite for |z0| > 10, and
+    # below z0 = -5 it raises DomainError, as the moments do outside the
+    # scalar problem's domain
+    if z[0] < -5.0:
+        raise DomainError("z0 below -5")
+    return [z[0] ** 2 - 1.0, z[1]] if abs(z[0]) <= 10.0 else [np.nan, z[1]]
+
+
+@pytest.mark.parametrize("start, reason", [
+    ([-8.0, 0.0], "z0 below -5"),
+    # the first Newton step from z0 = 0.01 lands at z0 = 50
+    ([0.01, 0.0], "non-finite residual"),
+], ids=["domain_error", "non_finite"])
+def test_root_loop_drops_a_start_and_tries_the_next(start, reason):
+    z = _first_root(_two_roots, (start, [2.0, 0.5]), ConvergenceError, "")
+    np.testing.assert_allclose(z, [1.0, 0.0], rtol=0, atol=1e-15)
+    with pytest.raises(ConvergenceError, match=f"no root .*{reason}"):
+        _first_root(_two_roots, (start,), ConvergenceError, "no root")
+
+
+def test_root_loop_without_a_root_names_the_last_residual():
+    # |F| is smallest, 1, at the kink z0 = 0, where the iteration stops
+    def kinked(z):
+        return [abs(z[0]) + 1.0, z[1]]
+
+    with pytest.raises(ConfigurationError,
+                       match=r"^no root \(last residual \[1\. 0\.\]\)$"):
+        _first_root(kinked, ([-2.0, 1.0],), ConfigurationError, "no root")
 
 
 def test_lemma2_bound_defining_equation():
