@@ -75,6 +75,9 @@ class GridPoint:
                     f"{name} must be finite and positive, got {value}")
         if not (0 < self.eta <= 1):
             raise ConfigurationError("eta must lie in (0, 1]")
+        if self.papr_db is not None and not -np.inf < self.papr_db < np.inf:
+            raise ConfigurationError(
+                f"papr_db must be finite, got {self.papr_db}")
 
 
 def _config_int(value, name):

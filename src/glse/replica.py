@@ -10,9 +10,11 @@ Two independent code paths compute the Gaussian moments: analytic
 expressions per scenario (solve_rs_scenario) and numerical quadrature
 driven by the scalar minimizer itself (solve_rs_generic). The quadrature
 integrates along rays of the input plane, one ray for the phase-equivariant
-supports and Gauss-Legendre panels of phases for M-PSK, with an array-valued
-adaptive Gauss-Legendre rule that calls the scalar minimizer once per
-refinement level on all panels of all rays.
+supports and Gauss-Legendre panels of phases for M-PSK. Each ray is cut
+into pieces of one regime (zero output, interior, or on the rim of the
+support), whose boundaries multisection finds to adjacent floats, and an
+array-valued adaptive Gauss-Legendre rule integrates the smooth pieces,
+calling the scalar minimizer once per round or level on all rays.
 """
 
 from __future__ import annotations
@@ -262,45 +264,64 @@ _PANEL_WIDTH = 2.0  # widest initial panel in u
 _PANEL_TOL = 1e-14  # per panel, relative to the moment
 _MAX_LEVELS = 40  # panel halvings before the integrator gives up
 _U_TAIL = 80.0  # an unbounded segment is cut at lo + 80 (e^-80 ~ 2e-35)
-_U_SCAN, _SCAN_POINTS = 80.0, 4001  # activity scan grid in u
+_U_SCAN, _SCAN_POINTS = 80.0, 4001  # regime scan grid in u
 
 
-def _active_segments(profile, rho_rs, phases=(1.0,)):
-    """Activity segments of s -> profile(s) along rays s = r * phase.
+def _active_segments(profile, rho_rs, phases=(1.0,), rim=np.inf):
+    """Active pieces of s -> profile(s) along rays s = r * phase.
 
-    Returns arrays (ray, lo, hi): ray indexes phases, and (lo, hi) are the
-    intervals in u = r^2/rho_rs on which the output is nonzero, ordered by
-    ray and then by u (hi = inf for a segment open at the end of the
-    scan, _SCAN_POINTS points on [0, _U_SCAN]). profile takes an array of
-    inputs. The scan points of every ray are evaluated in one call, and
-    every boundary between an inactive and an active scan point is
-    refined by bisection, all boundaries at once, for at most 100 steps
-    and until no bracket moves: a always keeps the activity of the left
-    scan point and b that of the right one, so a bracket stops once it
-    holds adjacent floats, whose midpoint rounds to one of them. (Only a
-    boundary below u ~ 1e-4 can need more steps.)
+    Each ray is cut into pieces of one regime of the output x: zero,
+    interior, or on the rim |x| >= rim (1 - 1e-12), the margin because a
+    saturated output rim s/|s| misses the radius by a few ulps (rim = inf
+    has no rim). Returns arrays (ray, lo, hi) of the pieces where x is
+    nonzero: ray indexes phases, and (lo, hi) are intervals in
+    u = r^2/rho_rs, ordered by ray and then by u (hi = inf for the piece
+    open at the end of the scan, _SCAN_POINTS points on [0, _U_SCAN]).
+    profile takes an array of inputs. The scan points of every ray are
+    evaluated in one call, and every boundary between scan points of two
+    regimes is refined by multisection, all boundaries at once: a round
+    evaluates 63 equally spaced interior points of every open bracket in
+    one call, and the bracket keeps the last point of its left end's
+    regime and the first point that is not. A bracket closes once it holds
+    adjacent floats, and the rounds stop when all are closed, or after 100
+    rounds (only a boundary below u ~ 1e-166 can need them all). A piece
+    starts at the first point of its regime, and an active piece followed
+    by zero output ends at its last point.
     """
     phases = np.asarray(phases)
+
+    def regime(u, phase):
+        mag = np.abs(profile(phase * np.sqrt(rho_rs * u)))
+        return (mag != 0).astype(int) + (mag >= rim * (1.0 - 1e-12))
+
     us = np.linspace(0.0, _U_SCAN, _SCAN_POINTS)
-    flags = profile(phases[:, None] * np.sqrt(rho_rs * us)) != 0
-    ray, edge = np.nonzero(flags[:, 1:] != flags[:, :-1])
+    code = regime(us, phases[:, None])
+    ray, edge = np.nonzero(code[:, 1:] != code[:, :-1])
     a, b = us[edge], us[edge + 1]
-    left_on = flags[ray, edge]
+    left, right = code[ray, edge], code[ray, edge + 1]
+    steps = np.arange(1, 64) / 64.0
     for _ in range(100):
-        mid = 0.5 * (a + b)
-        if np.all((mid == a) | (mid == b)):
+        live = np.flatnonzero(np.nextafter(a, b) < b)
+        if not live.size:
             break
-        # mid replaces the end of the bracket that shares its activity
-        move_a = (profile(phases[ray] * np.sqrt(rho_rs * mid)) != 0) == left_on
-        a = np.where(move_a, mid, a)
-        b = np.where(move_a, b, mid)
-    first, last = np.flatnonzero(flags[:, 0]), np.flatnonzero(flags[:, -1])
-    lo_ray = np.concatenate((ray[~left_on], first))
-    lo = np.concatenate((b[~left_on], np.full(first.size, us[0])))
-    hi_ray = np.concatenate((ray[left_on], last))
-    hi = np.concatenate((a[left_on], np.full(last.size, np.inf)))
-    lo_order, hi_order = np.lexsort((lo, lo_ray)), np.lexsort((hi, hi_ray))
-    return lo_ray[lo_order], lo[lo_order], hi[hi_order]
+        a_live, b_live = a[live, None], b[live, None]
+        grid = np.hstack((a_live, a_live + (b_live - a_live) * steps, b_live))
+        same = regime(grid[:, 1:-1], phases[ray[live], None])
+        same = same == left[live, None]
+        # grid[k + 1]: the first interior point off the left regime, else b
+        k = np.where(same.all(axis=1), 63, same.argmin(axis=1))
+        rows = np.arange(live.size)
+        a[live], b[live] = grid[rows, k], grid[rows, k + 1]
+    # the pieces of a ray start at u = 0 and at each of its boundaries
+    n = phases.size
+    piece_ray = np.concatenate((np.arange(n), ray))
+    order = np.argsort(piece_ray, kind="stable")
+    piece_ray = piece_ray[order]
+    lo = np.concatenate((np.zeros(n), np.where(right == 0, a, b)))[order]
+    on = np.concatenate((code[:, 0], right))[order] != 0
+    last = np.append(piece_ray[1:] != piece_ray[:-1], True)
+    hi = np.where(last, np.inf, np.append(lo[1:], np.inf))
+    return piece_ray[on], lo[on], hi[on]
 
 
 def _panel_edges(lo, hi, width):
@@ -318,11 +339,13 @@ def _panel_edges(lo, hi, width):
     return a, b, seg
 
 
-def _ray_moments(profile, rho_rs, phases=(1.0,)):
+def _ray_moments(profile, rho_rs, phases=(1.0,), rim=np.inf):
     """Per-ray (E|x|^2, E Re{conj(x) s}, P{x != 0}) of x = profile(s).
 
-    Adaptive Gauss-Legendre quadrature over the activity segments of all
-    rays at once: the segments are cut into panels at most _PANEL_WIDTH
+    Adaptive Gauss-Legendre quadrature over the active pieces of all rays
+    at once (_active_segments, which cuts each ray at the rim radius too,
+    so the integrand is smooth on every piece and no level is spent on a
+    kink there): the pieces are cut into panels at most _PANEL_WIDTH
     wide in u, and each level evaluates the 16-point rule on every
     unfinished panel and on both its halves in a single profile call. A
     panel is done when the two estimates agree to _PANEL_TOL times the
@@ -330,9 +353,10 @@ def _ray_moments(profile, rho_rs, phases=(1.0,)):
     The tolerance is relative, so neither the input scale rho_rs nor an
     amplifying quadratic weight can push it below the rounding error.
     Raises ConvergenceError when panels remain after _MAX_LEVELS levels.
+    eta sums the active pieces.
     """
     phases = np.asarray(phases)
-    ray, lo, hi = _active_segments(profile, rho_rs, phases)
+    ray, lo, hi = _active_segments(profile, rho_rs, phases, rim)
     a, b, seg = _panel_edges(lo, np.minimum(hi, lo + _U_TAIL), _PANEL_WIDTH)
     panel_ray = ray[seg]
     totals, tol = np.zeros((2, phases.size)), None
@@ -369,10 +393,11 @@ def _ray_moments(profile, rho_rs, phases=(1.0,)):
 def generic_moments(penalty, support, xi, rho_rs):
     """(power, cross, eta) by quadrature over the scalar minimizer.
 
-    Phase-equivariant supports need one ray; the zero-extended M-PSK
-    constellation is averaged over phases in [0, pi/M], to which symmetry
-    and rotation fold the phase, by 16-point Gauss-Legendre panels that
-    halve toward pi/M (176 rays for every M).
+    The rays are cut at the rim radius sqrt(peak_power), which is inf on
+    the full plane. Phase-equivariant supports need one ray; the
+    zero-extended M-PSK constellation is averaged over phases in
+    [0, pi/M], to which symmetry and rotation fold the phase, by 16-point
+    Gauss-Legendre panels that halve toward pi/M (176 rays for every M).
     """
     def profile(s):
         return decouple(s, xi, penalty, support)
@@ -382,8 +407,8 @@ def generic_moments(penalty, support, xi, rho_rs):
         weights = _PHASE_WEIGHTS  # they sum to 1: the mean over the phase
     else:
         phases = weights = np.ones(1)
-    return tuple(float(weights @ m)
-                 for m in _ray_moments(profile, rho_rs, phases))
+    return tuple(float(weights @ m) for m in _ray_moments(
+        profile, rho_rs, phases, np.sqrt(support.peak_power)))
 
 
 # ---------------------------------------------------------------------------

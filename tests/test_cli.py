@@ -248,6 +248,22 @@ def test_sweep_grid_point_not_finite_exits_2(tmp_path, capsys, field):
     assert f"{field} must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("papr_db", [".inf", ".nan"])
+def test_sweep_papr_db_not_finite_exits_2(tmp_path, capsys, papr_db):
+    # the row recorded SupportSpec's ConfigurationError on the peak power
+    # and --strict exited 3
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(
+        "spec_version: '1'\n"
+        "scenario: {kind: disk, sparsity: l1}\n"
+        "grid:\n"
+        "  - {alpha_inv: 2.0, eta: 0.7, power: 0.5, papr_db: " + papr_db
+        + "}\n")
+    assert main(["--strict", "sweep", "--config", str(cfg),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert "papr_db must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["missing.yaml", ".", "bad.yaml"],
                          ids=["missing", "directory", "bad_yaml"])
 def test_unreadable_sweep_config_exits_2(tmp_path, capsys, name):

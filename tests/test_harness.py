@@ -35,6 +35,8 @@ def test_grid_point_validation():
             with pytest.raises(ConfigurationError,
                                match=f"{name} must be finite and positive"):
                 GridPoint(**point)
+        with pytest.raises(ConfigurationError, match="papr_db must be finite"):
+            GridPoint(alpha_inv=2.0, eta=0.5, power=0.5, papr_db=value)
 
 
 def test_sweep_config_validation():

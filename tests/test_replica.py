@@ -60,13 +60,24 @@ def test_quadratic_power_matches_mc():
     (PenaltySpec(lambda2=0.3), SupportSpec.mpsk_zero(2, 2.5)),
     (PenaltySpec(lambda2=0.3), SupportSpec.mpsk_zero(4, 2.5)),
 ])
-def test_analytic_moments_match_quadrature(penalty, support):
+def test_analytic_moments_match_quadrature(monkeypatch, penalty, support):
     # dual route: closed-form Gaussian moments against direct quadrature
     # over the scalar decoupled precoder; on the disk with l1 at xi = 4 the
-    # clip point lies inside the active segment, a kink of the integrand
-    for xi, rho_rs in ((1.3, 2.0), (4.0, 0.7)):
+    # clip point lies inside the active region, a kink of the integrand
+    # that the cut at the rim takes out of every piece. Each call makes at
+    # most 16 profile calls (49 to 73 with bisection and no rim cut)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return decouple(*args)
+
+    monkeypatch.setattr("glse.replica.decouple", counted)
+    for xi, rho_rs in ((1.3, 2.0), (4.0, 0.7), (1.3, 1.1)):
         ana = scenario_moments(penalty, support, xi, rho_rs)
+        calls.clear()
         num = generic_moments(penalty, support, xi, rho_rs)
+        assert len(calls) <= 16
         np.testing.assert_allclose(ana, num, rtol=1e-10, atol=0)
 
 
@@ -190,30 +201,35 @@ def test_package_imports_no_numerical_integration():
 
 
 def _bisect(profile, rho_rs, a, b, left_on):
+    """(boundary, a, b): 100 bisection steps and their last bracket."""
     for _ in range(100):
         mid = 0.5 * (a + b)
         if (profile(np.sqrt(rho_rs * mid)) != 0) == left_on:
             a = mid
         else:
             b = mid
-    return a if left_on else b
+    return (a if left_on else b), a, b
 
 
 def _segments_by_loop(profile, rho_rs, u_cap=80.0, scan=4001):
-    """Scalar scan with one bisection per boundary (reference)."""
+    """Scalar scan with one bisection per boundary (reference).
+
+    Returns the (lo, hi) ends of the segments, each as (boundary, a, b)
+    with the last bisection bracket; an end at 0 or inf is its own bracket.
+    """
     us = np.linspace(0.0, u_cap, scan)
     on = [profile(np.sqrt(rho_rs * u)) != 0 for u in us]
-    segments, lo = [], None
+    ends, lo = [], None
     for i, flag in enumerate(on):
         if flag and lo is None:
-            lo = us[0] if i == 0 else _bisect(profile, rho_rs, us[i - 1],
-                                              us[i], False)
+            lo = (3 * (us[0],) if i == 0
+                  else _bisect(profile, rho_rs, us[i - 1], us[i], False))
         if lo is not None and (i + 1 == scan or not on[i + 1]):
-            hi = (np.inf if i + 1 == scan
+            hi = (3 * (np.inf,) if i + 1 == scan
                   else _bisect(profile, rho_rs, us[i], us[i + 1], True))
-            segments.append((lo, hi))
+            ends += [lo, hi]
             lo = None
-    return segments
+    return ends
 
 
 @pytest.mark.parametrize("profile", [
@@ -227,11 +243,43 @@ def _segments_by_loop(profile, rho_rs, u_cap=80.0, scan=4001):
                        r, 0.0),
 ])
 def test_active_segments_match_scalar_scan(profile):
-    # one array call per scan and per bisection step, same midpoints; the
-    # early stop once no bracket moves leaves the 100-step result unchanged
+    # where bisection closes a bracket on adjacent floats, the pair is
+    # unique and multisection returns the same end; the last profile is
+    # zero at u = 0 only, so 100 bisection steps leave its first bracket
+    # at (0, 1.6e-32), and multisection may end anywhere inside it
     ray, lo, hi = _active_segments(profile, 1.1)
     assert not ray.any()
-    assert list(zip(lo, hi)) == _segments_by_loop(profile, 1.1)
+    ref = _segments_by_loop(profile, 1.1)
+    assert len(ref) == 2 * lo.size
+    for end, (boundary, a, b) in zip(np.column_stack((lo, hi)).ravel(), ref):
+        if np.nextafter(a, b) >= b:
+            assert end == boundary
+        else:
+            assert a <= end <= b
+
+
+@pytest.mark.parametrize("peak,pinned,rel", [
+    # no rim on the full plane, and each boundary is the adjacent-float
+    # pair that bisection found too: the solve is pinned bit for bit
+    (None, ("0x1.6aa514efab250p-4", "0x1.6666666666667p-1",
+            "0x1.8edc0834ef3f0p+1"), 0.0),
+    # the rim cut moves the disk solve by 5.5e-15 relative
+    (0.5 * 10 ** 0.3, ("0x1.4f92f0bafd570p-4", "0x1.6666666666664p-1",
+                       "0x1.a3b2c6db3141ap+1"), 1e-13),
+], ids=["full_l1", "disk_l1"])
+def test_generic_solve_matches_the_bisection_scan(peak, pinned, rel):
+    # the solves of the rs_quadrature benchmark: l1 weights tuned to power
+    # 0.5 and eta 0.7 at alpha_inv 2, solved from (0.1, 0.1); pinned are
+    # (distortion, eta, chi) with the bisection scan and no rim cut
+    support = FULL if peak is None else SupportSpec.disk(peak)
+    pen, _ = tune(_spec(PenaltySpec(), support), 0.5, 0.7, sparsity="l1")
+    sol = solve_rs_generic(_spec(pen, support), inits=[(0.1, 0.1)])
+    got = (sol.distortion, sol.eta, sol.chi)
+    if rel == 0.0:
+        assert tuple(float(v).hex() for v in got) == pinned
+    else:
+        np.testing.assert_allclose(got, [float.fromhex(v) for v in pinned],
+                                   rtol=rel, atol=0)
 
 
 def test_quadrature_raises_when_panels_do_not_converge():
