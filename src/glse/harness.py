@@ -68,7 +68,8 @@ class GridPoint:
     sigma2: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha_inv", "power", "rho"):
+        optional = () if self.sigma2 is None else ("sigma2",)
+        for name in ("alpha_inv", "power", "rho") + optional:
             value = getattr(self, name)
             if not 0 < value < np.inf:  # a NaN fails too
                 raise ConfigurationError(

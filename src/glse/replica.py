@@ -12,9 +12,10 @@ driven by the scalar minimizer itself (solve_rs_generic). The quadrature
 integrates along rays of the input plane, one ray for the phase-equivariant
 supports and Gauss-Legendre panels of phases for M-PSK. Each ray is cut
 into pieces of one regime (zero output, interior, or on the rim of the
-support), whose boundaries multisection finds to adjacent floats, and an
-array-valued adaptive Gauss-Legendre rule integrates the smooth pieces,
-calling the scalar minimizer once per round or level on all rays.
+support), whose boundaries multisection finds to adjacent floats, and a
+fixed composite Gauss-Legendre rule in the radius integrates the smooth
+pieces, calling the scalar minimizer once per multisection round and once
+for the rule, on all rays at once.
 """
 
 from __future__ import annotations
@@ -260,9 +261,7 @@ _PHASE_HALF = 0.5 * np.diff(_PHASE_EDGES)[:, None]
 _PHASE_NODES = (0.5 * (_PHASE_EDGES[:-1] + _PHASE_EDGES[1:])[:, None]
                 + _PHASE_HALF * _PANEL_NODES).ravel()
 _PHASE_WEIGHTS = (_PHASE_HALF * _PANEL_WEIGHTS).ravel()
-_PANEL_WIDTH = 2.0  # widest initial panel in u
-_PANEL_TOL = 1e-14  # per panel, relative to the moment
-_MAX_LEVELS = 40  # panel halvings before the integrator gives up
+_PANEL_WIDTH = 1.0  # widest panel in t = sqrt(u)
 _U_TAIL = 80.0  # an unbounded segment is cut at lo + 80 (e^-80 ~ 2e-35)
 _U_SCAN, _SCAN_POINTS = 80.0, 4001  # regime scan grid in u
 
@@ -342,52 +341,29 @@ def _panel_edges(lo, hi, width):
 def _ray_moments(profile, rho_rs, phases=(1.0,), rim=np.inf):
     """Per-ray (E|x|^2, E Re{conj(x) s}, P{x != 0}) of x = profile(s).
 
-    Adaptive Gauss-Legendre quadrature over the active pieces of all rays
-    at once (_active_segments, which cuts each ray at the rim radius too,
-    so the integrand is smooth on every piece and no level is spent on a
-    kink there): the pieces are cut into panels at most _PANEL_WIDTH
-    wide in u, and each level evaluates the 16-point rule on every
-    unfinished panel and on both its halves in a single profile call. A
-    panel is done when the two estimates agree to _PANEL_TOL times the
-    moment's first estimate; the others are halved for the next level.
-    The tolerance is relative, so neither the input scale rho_rs nor an
-    amplifying quadratic weight can push it below the rounding error.
-    Raises ConvergenceError when panels remain after _MAX_LEVELS levels.
-    eta sums the active pieces.
+    A fixed Gauss-Legendre rule over the active pieces of all rays at once
+    (_active_segments, which cuts each ray at every change of regime, the
+    rim radius included). The integral runs in the radius t = sqrt(u),
+    against 2t e^{-t^2} dt: on each piece the integrand of every covered
+    precoder is then a low-degree polynomial in t times that entire weight,
+    on which the rule converges geometrically. Each piece is cut into
+    16-point panels at most _PANEL_WIDTH wide in t, all evaluated in a
+    single profile call. eta sums the active pieces.
     """
     phases = np.asarray(phases)
     ray, lo, hi = _active_segments(profile, rho_rs, phases, rim)
-    a, b, seg = _panel_edges(lo, np.minimum(hi, lo + _U_TAIL), _PANEL_WIDTH)
-    panel_ray = ray[seg]
-    totals, tol = np.zeros((2, phases.size)), None
-    for _ in range(_MAX_LEVELS):
-        if not a.size:
-            break
-        mid, h = 0.5 * (a + b), 0.5 * (b - a)
-        # the whole panel, its left half and its right half
-        centre = np.stack((mid, mid - 0.5 * h, mid + 0.5 * h), axis=-1)
-        half = np.stack((h, 0.5 * h, 0.5 * h), axis=-1)
-        u = centre[..., None] + half[..., None] * _PANEL_NODES
-        s = phases[panel_ray, None, None] * np.sqrt(rho_rs * u)
-        x = profile(s)
-        f = np.stack((np.abs(x) ** 2, (np.conj(x) * s).real)) * np.exp(-u)
-        est = (f @ _PANEL_WEIGHTS) * half
-        fine = est[..., 1] + est[..., 2]
-        if tol is None:  # relative to the first estimate of each moment
-            tol = _PANEL_TOL * np.abs(fine).sum(axis=1, keepdims=True)
-        done = np.all(np.abs(est[..., 0] - fine) <= tol, axis=0)
-        for total, part in zip(totals, fine):
-            total += np.bincount(panel_ray[done], part[done],
-                                 minlength=phases.size)
-        a, mid, b = a[~done], mid[~done], b[~done]
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-        panel_ray = np.tile(panel_ray[~done], 2)
-    if a.size:
-        raise ConvergenceError(
-            f"moment quadrature: {a.size} panels unresolved after "
-            f"{_MAX_LEVELS} levels", {"panels": a.size})
+    top = np.sqrt(np.minimum(hi, lo + _U_TAIL))
+    a, b, seg = _panel_edges(np.sqrt(lo), top, _PANEL_WIDTH)
+    half = 0.5 * (b - a)[:, None]
+    t = 0.5 * (a + b)[:, None] + half * _PANEL_NODES
+    s = phases[ray[seg], None] * (np.sqrt(rho_rs) * t)
+    x = profile(s)
+    w = 2.0 * half * _PANEL_WEIGHTS * t * np.exp(-t * t)
+    f = np.stack((np.abs(x) ** 2, (np.conj(x) * s).real)) * w
+    power, cross = (np.bincount(ray[seg], m, minlength=phases.size)
+                    for m in f.sum(axis=2))
     eta = np.bincount(ray, np.exp(-lo) - np.exp(-hi), minlength=phases.size)
-    return totals[0], totals[1], eta
+    return power, cross, eta
 
 
 def generic_moments(penalty, support, xi, rho_rs):
@@ -398,6 +374,8 @@ def generic_moments(penalty, support, xi, rho_rs):
     zero-extended M-PSK constellation is averaged over phases in
     [0, pi/M], to which symmetry and rotation fold the phase, by 16-point
     Gauss-Legendre panels that halve toward pi/M (176 rays for every M).
+    Along each ray, _ray_moments applies a fixed Gauss-Legendre rule in the
+    radius to every piece of one regime.
     """
     def profile(s):
         return decouple(s, xi, penalty, support)
@@ -527,9 +505,9 @@ def solve_rs_generic(spec: ScenarioSpec, inits=None) -> RsSolution:
     Independent of the analytic expressions: the Gaussian moments are
     integrated numerically with the scalar minimizer as a black box
     (generic_moments), for every support including the constellations.
-    Each panel of the adaptive rule is resolved to 1e-14 of the moment;
-    a moment that does not resolve raises ConvergenceError. Root-finder,
-    starts, first-start rule and residuals are those of solve_rs_scenario.
+    The quadrature is a fixed rule and raises nothing of its own; the
+    root-finder, starts, first-start rule and residuals are those of
+    solve_rs_scenario.
     """
     return _solve_rs(spec, generic_moments, inits)
 
@@ -744,11 +722,11 @@ def tune(spec: ScenarioSpec, target_power, target_eta, sparsity=None):
 
 def rate_lower_bound(rho, distortion, noise_power):
     """Ergodic-rate lower bound log(rho/(sigma^2 + D)), natural log."""
-    if not noise_power > 0:
-        raise ConfigurationError("noise_power must be positive")
-    if not (rho > 0 and distortion >= 0):
-        raise ConfigurationError(
-            "rho must be positive and distortion nonnegative")
+    if not 0 < noise_power < np.inf:  # a NaN fails too
+        raise ConfigurationError("noise_power must be finite and positive")
+    if not (0 < rho < np.inf and 0 <= distortion < np.inf):
+        raise ConfigurationError("rho must be finite and positive and "
+                                 "distortion finite and nonnegative")
     return float(np.log(rho / (noise_power + distortion)))
 
 
@@ -768,8 +746,9 @@ def lemma2_bound(load, rho, eta, peak_power, order):
     is r = -W0(-exp(-(1 + log(1 + M)/alpha))) with W0 the principal branch
     of the Lambert W function, and returns D = r * (rho + eta * P).
     """
-    if not (load > 0 and rho > 0 and peak_power > 0):
-        raise ConfigurationError("load, rho and peak_power must be positive")
+    if not (load > 0 and 0 < rho < np.inf and 0 < peak_power < np.inf):
+        raise ConfigurationError("load must be positive, and rho and "
+                                 "peak_power finite and positive")
     if not (0 < eta <= 1):
         raise ConfigurationError("eta must lie in (0, 1]")
     if order < 1:

@@ -163,13 +163,26 @@ def test_bound_command(capsys):
 
 
 @pytest.mark.parametrize("sigma2,distortion", [("-0.5", "0.05"),
-                                                ("0.1", "-0.2")])
+                                                ("0.1", "-0.2"),
+                                                ("inf", "0.05"),
+                                                ("0.1", "inf")])
 def test_bound_command_rejects_invalid_rate_inputs(capsys, sigma2,
                                                    distortion):
-    # log(rho/(sigma2 + D)) would be NaN here
+    # log(rho/(sigma2 + D)) would be NaN here, or -inf printed as the
+    # invalid JSON -Infinity
     rc = main(["bound", "--alpha-inv", "2", "--eta", "0.4",
                "--peak-power", "2.5", "--sigma2", sigma2,
                "--distortion", distortion])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("extra", [["--peak-power", "inf"],
+                                   ["--peak-power", "2.5", "--rho", "inf"]],
+                         ids=["peak_power", "rho"])
+def test_bound_command_rejects_infinite_lemma2_inputs(capsys, extra):
+    # lemma2 was printed as Infinity, which is not valid JSON, with exit 0
+    rc = main(["bound", "--alpha-inv", "2", "--eta", "0.4"] + extra)
     assert rc == 2
     assert capsys.readouterr().out == ""
 
@@ -246,6 +259,22 @@ def test_sweep_grid_point_not_finite_exits_2(tmp_path, capsys, field):
     assert main(["--strict", "sweep", "--config", str(cfg),
                  "--output", str(tmp_path / "out.csv")]) == 2
     assert f"{field} must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma2", ["-1", "0", ".nan", ".inf"])
+def test_sweep_grid_point_sigma2_exits_2(tmp_path, capsys, sigma2):
+    # the row recorded rate_lower_bound's ConfigurationError and --strict
+    # exited 3; .inf wrote -inf in rate_lb and exited 0
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(
+        "spec_version: '1'\n"
+        "scenario: {kind: full, sparsity: l1}\n"
+        "grid:\n"
+        "  - {alpha_inv: 2.0, eta: 0.7, power: 0.5, sigma2: " + sigma2
+        + "}\n")
+    assert main(["--strict", "sweep", "--config", str(cfg),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert "sigma2 must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("papr_db", [".inf", ".nan"])

@@ -30,13 +30,17 @@ def test_grid_point_validation():
     with pytest.raises(ConfigurationError):
         GridPoint(alpha_inv=2.0, eta=0.5, power=-1.0)
     for value in (np.inf, np.nan):
-        for name in ("alpha_inv", "power", "rho"):
+        for name in ("alpha_inv", "power", "rho", "sigma2"):
             point = {"alpha_inv": 2.0, "eta": 0.5, "power": 0.5, name: value}
             with pytest.raises(ConfigurationError,
                                match=f"{name} must be finite and positive"):
                 GridPoint(**point)
         with pytest.raises(ConfigurationError, match="papr_db must be finite"):
             GridPoint(alpha_inv=2.0, eta=0.5, power=0.5, papr_db=value)
+    for value in (0.0, -1.0):
+        with pytest.raises(ConfigurationError,
+                           match="sigma2 must be finite and positive"):
+            GridPoint(alpha_inv=2.0, eta=0.5, power=0.5, sigma2=value)
 
 
 def test_sweep_config_validation():

@@ -4,8 +4,8 @@ from scipy.special import ndtri
 
 from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
-from glse.replica import (ScenarioSpec, _active_segments, _first_root,
-                          _ray_moments, _tune_root, _unpack_shrink_chi, _w,
+from glse.replica import (_PANEL_WIDTH, ScenarioSpec, _active_segments,
+                          _first_root, _tune_root, _unpack_shrink_chi, _w,
                           _w_prime, generic_moments, heuristic_rate,
                           lemma2_bound, qfunc, random_tas_asymptote,
                           rate_lower_bound, rs_distortion, scenario_moments,
@@ -51,7 +51,7 @@ def test_quadratic_power_matches_mc():
     assert out.distortion == pytest.approx(sol.distortion, rel=0.1)
 
 
-@pytest.mark.parametrize("penalty,support", [
+MOMENT_SCENARIOS = [
     (PenaltySpec(lambda2=0.3, lambda0=0.4), FULL),
     (PenaltySpec(lambda2=0.3, lambda1=0.4), FULL),
     (PenaltySpec(lambda2=0.2, lambda0=0.3), SupportSpec.disk(1.5)),
@@ -59,13 +59,18 @@ def test_quadratic_power_matches_mc():
     (PenaltySpec(lambda2=0.3), SupportSpec.constant_envelope(2.5)),
     (PenaltySpec(lambda2=0.3), SupportSpec.mpsk_zero(2, 2.5)),
     (PenaltySpec(lambda2=0.3), SupportSpec.mpsk_zero(4, 2.5)),
-])
+]
+MOMENT_STATES = ((1.3, 2.0), (4.0, 0.7), (1.3, 1.1))
+
+
+@pytest.mark.parametrize("penalty,support", MOMENT_SCENARIOS)
 def test_analytic_moments_match_quadrature(monkeypatch, penalty, support):
     # dual route: closed-form Gaussian moments against direct quadrature
     # over the scalar decoupled precoder; on the disk with l1 at xi = 4 the
     # clip point lies inside the active region, a kink of the integrand
     # that the cut at the rim takes out of every piece. Each call makes at
-    # most 16 profile calls (49 to 73 with bisection and no rim cut)
+    # most 12 profile calls: the regime scan, the multisection rounds and
+    # one for the fixed rule (49 to 73 with bisection and no rim cut)
     calls = []
 
     def counted(*args):
@@ -73,12 +78,29 @@ def test_analytic_moments_match_quadrature(monkeypatch, penalty, support):
         return decouple(*args)
 
     monkeypatch.setattr("glse.replica.decouple", counted)
-    for xi, rho_rs in ((1.3, 2.0), (4.0, 0.7), (1.3, 1.1)):
+    for xi, rho_rs in MOMENT_STATES:
         ana = scenario_moments(penalty, support, xi, rho_rs)
         calls.clear()
         num = generic_moments(penalty, support, xi, rho_rs)
-        assert len(calls) <= 16
+        assert len(calls) <= 12
         np.testing.assert_allclose(ana, num, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("penalty,support,xi,rho_rs", [
+    *((pen, sup, xi, rho_rs) for pen, sup in MOMENT_SCENARIOS
+      for xi, rho_rs in MOMENT_STATES),
+    # the continued branch (xi < 0)
+    (PenaltySpec(lambda2=-0.0146, lambda1=-0.0517), FULL, -56.63, 6.0),
+])
+def test_quadrature_settled_at_its_panel_width(monkeypatch, penalty,
+                                               support, xi, rho_rs):
+    # on each piece of one regime the integrand in the radius t is a
+    # polynomial times 2t e^{-t^2}, so halving the panels moves nothing
+    # but rounding
+    ref = generic_moments(penalty, support, xi, rho_rs)
+    monkeypatch.setattr("glse.replica._PANEL_WIDTH", 0.5 * _PANEL_WIDTH)
+    num = generic_moments(penalty, support, xi, rho_rs)
+    np.testing.assert_allclose(num, ref, rtol=1e-14, atol=0)
 
 
 # (lambda2, P, xi, rho_rs): the tuned BPSK point of the rsb_bpsk benchmark
@@ -280,16 +302,6 @@ def test_generic_solve_matches_the_bisection_scan(peak, pinned, rel):
     else:
         np.testing.assert_allclose(got, [float.fromhex(v) for v in pinned],
                                    rtol=rel, atol=0)
-
-
-def test_quadrature_raises_when_panels_do_not_converge():
-    # a jump inside an active segment: the panel holding it never passes
-    # the per-panel tolerance, so the level cap is reached
-    def jump(s):
-        return np.where(np.abs(s) < 1.1, s, 2.0 * s)
-
-    with pytest.raises(ConvergenceError):
-        _ray_moments(jump, 1.0)
 
 
 def test_analytic_moments_continued_branch():
