@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,8 +35,17 @@ def _support_from_args(args):
 
 
 def _penalty_from_args(args):
-    return PenaltySpec(lambda2=args.lambda2, lambda0=args.lambda0,
-                       lambda1=args.lambda1)
+    """PenaltySpec from --lambda2/--lambda0/--lambda1, which must be finite.
+
+    Checked here rather than in PenaltySpec: tune builds penalties from exp
+    of its root-loop iterates, where an overflow must fail that start only.
+    """
+    weights = {"lambda2": args.lambda2, "lambda0": args.lambda0,
+               "lambda1": args.lambda1}
+    for name, value in weights.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"--{name} must be finite, got {value}")
+    return PenaltySpec(**weights)
 
 
 def _spec_from_args(args, penalty):

@@ -107,6 +107,25 @@ def test_simulate_rho_not_finite_and_nonnegative_exits_2(capsys, rho):
     assert "rho must be finite and nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["replica", "--alpha-inv", "2", "--lambda2", "nan"],
+    ["replica", "--alpha-inv", "2", "--lambda1", "nan"],
+    ["replica", "--alpha-inv", "2", "--lambda2", "0.5", "--lambda0", "inf"],
+    ["simulate", "--alpha-inv", "2", "--n", "4", "--trials", "1",
+     "--lambda1", "inf"],
+    ["simulate", "--alpha-inv", "2", "--n", "4", "--trials", "1",
+     "--lambda2=-inf"],
+], ids=["replica_lambda2_nan", "replica_lambda1_nan", "replica_lambda0_inf",
+        "simulate_lambda1_inf", "simulate_lambda2_minus_inf"])
+def test_penalty_weights_not_finite_exit_2(capsys, argv):
+    # replica printed "solver failure" and exited 0 (3 under --strict);
+    # simulate ran the APG to its iteration cap and exited 0
+    assert main(["--strict"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 @pytest.mark.parametrize("rho", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["replica", "--alpha-inv", "2", "--lambda2", "0.5"],

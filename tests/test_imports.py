@@ -1,9 +1,11 @@
 """Import budget: a full-plane sweep runs without scipy or a process pool.
 
-Importing glse and glse.cli and running a full-plane sweep load no scipy
-module, nor does a `glse simulate` on raw l1 weights (the proximal-
-gradient path), a disk tune or a disk `glse replica`; a constellation
-tune then loads scipy.special, but not scipy.optimize.
+Importing glse and glse.cli fills no cache of the binary RSB kernel, and
+running a full-plane sweep loads no scipy module, nor does a `glse
+simulate` on raw l1 weights (the proximal-gradient path), a disk tune or
+a disk `glse replica`; a constellation tune then loads scipy.special,
+but not scipy.optimize, and a BPSK one-step broken solve loads neither
+scipy.optimize nor a process pool.
 The check runs in a fresh interpreter, since this test process has
 already imported whatever the other tests needed.
 """
@@ -19,6 +21,9 @@ SCRIPT = """
 import contextlib, io, sys
 import glse, glse.cli
 from glse.cli import main
+from glse import rsb
+
+assert rsb._panel_layout.cache_info().currsize == 0
 
 config, output = sys.argv[1:3]
 assert main(["--strict", "sweep", "--config", config,
@@ -50,6 +55,15 @@ with contextlib.redirect_stdout(io.StringIO()):
                "--eta", "0.4"])
 assert rc == 0, rc
 assert "scipy.special" in sys.modules and "scipy.optimize" not in sys.modules
+
+from glse.penalties import PenaltySpec, SupportSpec
+from glse.replica import ScenarioSpec, tune
+bpsk = SupportSpec.mpsk_zero(2, 2.5)
+pen, _ = tune(ScenarioSpec(PenaltySpec(), bpsk, 0.4, 1.0), 1.0, 0.4)
+rsb.solve_rsb1(ScenarioSpec(pen, bpsk, 0.4, 1.0), mu_bracket=(4.0, 10.0))
+loaded = [name for name in sys.modules
+          if name == "scipy.optimize" or name == "concurrent.futures.process"]
+assert not loaded, f"loaded by a BPSK broken solve: {loaded}"
 """
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -241,6 +243,19 @@ def test_binary_moments_match_tilted_double_integral(xi, rho_rs, rho1, mu):
     np.testing.assert_allclose(closed, brute, rtol=1e-9, atol=0)
 
 
+def _recorded_layouts(monkeypatch):
+    """Wrap rsb._panel_layout; returns the list of (centre, outer) panel
+    counts it is called with, cached or not."""
+    calls, panel_layout = [], rsb._panel_layout
+
+    def recorded(centre, outer):
+        calls.append((centre, outer))
+        return panel_layout(centre, outer)
+
+    monkeypatch.setattr(rsb, "_panel_layout", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("xi,rho_rs,rho1,tilt,centre_odd", [
     pytest.param(3.0, 0.3, 0.6, 5.9, True, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
@@ -258,17 +273,10 @@ def test_folded_moments_match_tilted_double_integral(
     # its positive nodes
     scale = np.sqrt(max(rho_rs, rho1) / 2.0)
     mu = tilt * xi / (2.0 * np.sqrt(BPSK.peak_power) * scale)
-    counts, half_panels = [], rsb._half_panels
-
-    def recorded(count, centre):
-        if centre:
-            counts.append(count)
-        return half_panels(count, centre)
-
-    monkeypatch.setattr(rsb, "_half_panels", recorded)
+    layouts = _recorded_layouts(monkeypatch)
     penalty = PenaltySpec(lambda2=0.3)
     closed = _binary_moments(penalty, BPSK, xi, rho_rs, rho1, mu)
-    assert [count % 2 == 1 for count in counts] == [centre_odd]
+    assert [centre % 2 == 1 for centre, _ in layouts] == [centre_odd]
     brute = _tilted_by_brute_force(penalty, xi, rho_rs, rho1, mu)
     np.testing.assert_allclose(closed, brute, rtol=1e-9, atol=0)
 
@@ -342,6 +350,155 @@ def test_tail_cut_keeps_the_leading_nodes(monkeypatch):
         assert np.all(gauss < rsb._TAIL_EPS)
         dropped[a * max(s0, s) <= rsb._SHARP_TILT] += t_full.size - t0.size
     assert dropped[True] > 0 and dropped[False] > 0
+
+
+def _concatenated_nodes(theta, a, s0, s, v):
+    """_outer_nodes built as two concatenated panel runs, then cut."""
+    lim = 12.0 * s0 + theta + 3.0 * (a * v + s)
+    scale = max(s0, s)
+    if a * scale <= rsb._SHARP_TILT:
+        inner, inner_width = theta, 2.0 * scale
+    else:
+        inner, inner_width = theta + 20.0 / a, 1.0 / a
+    span = lim - inner
+    x_in, w_in = rsb._half_panels(math.ceil(2.0 * inner / inner_width), True)
+    x_out, w_out = rsb._half_panels(math.ceil(span / (2.0 * scale)), False)
+    t0 = np.concatenate((inner * x_in, inner + span * x_out))
+    wt = np.concatenate((inner * w_in, span * w_out))
+    t_cut = s0 * math.sqrt(2.0 * (-math.log(rsb._TAIL_EPS)
+                                  + math.log1p(a * lim + a * a * v)))
+    n = t0.searchsorted(t_cut, "right")
+    return t0[:n], wt[:n]
+
+
+def test_cached_layout_matches_the_concatenated_rule(monkeypatch):
+    # the cached layout gives the nodes and weights of the two concatenated
+    # panel runs bit for bit, whether its entry is new or cached
+    layouts = _recorded_layouts(monkeypatch)
+    for _ in range(2):
+        for state in _random_kernel_states(400, 18):
+            args = _node_args(*state)
+            t0, wt = rsb._outer_nodes(*args)
+            t_ref, w_ref = _concatenated_nodes(*args)
+            np.testing.assert_array_equal(t0, t_ref)
+            np.testing.assert_array_equal(wt, w_ref)
+    assert {centre % 2 for centre, _ in layouts} == {0, 1}
+    # the cached rows are shared by every call, so they are read-only
+    for rows in rsb._panel_layout(*layouts[0]):
+        assert not rows.flags.writeable
+
+
+# (lambda2, xi, rho_rs, rho1, mu) and the float.hex outputs of the former
+# per-region logaddexp kernel at them: five states of the rsb_bpsk solve
+# (the last at its largest tilt), the two double-integral states, the
+# three folded ones, and six of _random_kernel_states(3000, 17)
+_FORMER_KERNEL = (
+    # pass, a * scale 2.34
+    ((0.08201511365201637, 8.330689756095097, 4.768300654054854,
+      0.04882776184741047, 4.0),
+     ("0x1.fcf4f87633352p-1", "0x1.5b137a17a5697p+0", "0x1.221c81146a8dfp-5",
+      "0x1.972a605e8f5dbp-2", "0x1.0b380849f7505p-1")),
+    # pass, a * scale 2.81
+    ((0.08201511365201637, 4.532353951850684, 1.2509863379408204,
+      0.40649797714182695, 5.090741516976173),
+     ("0x1.fcc6d8385d798p-1", "0x1.4a2485fa841eap-1", "0x1.0da08a4862560p-1",
+      "0x1.970579c6b12e0p-2", "0x1.5931056d5a0dap-1")),
+    # pass, a * scale 3.58
+    ((0.08201511365201637, 3.43799682796059, 0.6945657150162418,
+      0.3085170590836144, 6.597147288314161),
+     ("0x1.f4815e8c0d9bdp-1", "0x1.e7f4587171cbbp-2", "0x1.3c1db00a906c8p-1",
+      "0x1.90677ed671497p-2", "0x1.adef41d9d0c63p-1")),
+    # pass, a * scale 3.66
+    ((0.08201511365201637, 3.7492862895701067, 0.8580444800333172,
+      0.3118432514860775, 6.6314735457531215),
+     ("0x1.f8483f957b64ep-1", "0x1.12b2158eed86bp-1", "0x1.2b6cee7be546ep-1",
+      "0x1.936cffaac91d8p-2", "0x1.b8ad0bdff763cp-1")),
+    # pass, a * scale 3.92
+    ((0.08201511365201637, 8.330689756095097, 4.615614633426782,
+      0.04803964317845617, 6.799019897321043),
+     ("0x1.f8c26ec5ec266p-1", "0x1.53d795556888ap+0", "0x1.9636b868afcaap-5",
+      "0x1.93cebf04bceb8p-2", "0x1.ba13955bac5e2p-1")),
+    # tilted_gentle, a * scale 3.67
+    ((0.3, 2.0, 1.2, 0.4, 3.0),
+     ("0x1.b1dd1c2f2b2c4p-1", "0x1.2891e73223410p-1", "0x1.1b1bd14556519p-1",
+      "0x1.5b1749bf55bd0p-2", "0x1.6c23abb7c0ab0p-1")),
+    # tilted_sharp, a * scale 145
+    ((0.3, 8.0, 3.0, 0.05, 300.0),
+     ("0x1.9ff47983e89e4p-1", "0x1.e74fbecc29debp-1", "0x1.85f531ebaa156p+0",
+      "0x1.4cc3946986e50p-2", "0x1.8ef51a163c17bp+4")),
+    # folded_5.9, a * scale 5.9
+    ((0.3, 3.0, 0.3, 0.6, 10.219099764656379),
+     ("0x1.33fa616874594p+1", "0x1.e3df3c53fbdc4p-2", "0x1.3ac5cf49f3520p+2",
+      "0x1.ecc3cf0d86f54p-1", "0x1.2ae016f4b8f80p+2")),
+    # folded_6.01, a * scale 6.01
+    ((0.3, 4.0, 0.5, 0.1, 15.204230990089567),
+     ("0x1.b659878f40f04p-7", "0x1.9d0ca3c17a636p-7", "0x1.66311e353d39dp-8",
+      "0x1.5eae060c33f36p-8", "0x1.46582c8bc6150p-7")),
+    # folded_3, a * scale 3
+    ((0.3, 3.0, 0.3, 0.6, 5.196152422706632),
+     ("0x1.99a6c20884676p-2", "0x1.25c260d1997f1p-3", "0x1.c9e5e1cd33614p-2",
+      "0x1.47b89b3a0385ep-3", "0x1.985a04ad9eca3p-3")),
+    # random, a * scale 2.96
+    ((0.05242454827558354, 3.140570259647339, 3.4591083397047813,
+      0.07101183766950653, 2.231557044471217),
+     ("0x1.44474042cd00bp+0", "0x1.51c48f71d94f5p+0", "0x1.5c57834d8be14p-4",
+      "0x1.036c3368a4009p-1", "0x1.cf500456a0b56p-1")),
+    # random, a * scale 62.2
+    ((-0.0034161452985358304, 6.482671326670818, 0.4165491144786264,
+      0.23777462173284913, 279.5362624909389),
+     ("0x1.3fffffffffffcp+1", "0x1.26bfb084e2b9ap-1", "0x1.9a1e676de9cb3p+4",
+      "0x1.ffffffffffffap-1", "0x1.0661c63b3226ap+10")),
+    # random, a * scale 2.06e+03
+    ((0.0688536495311027, 0.3482094598309718, 1.2509542409543115,
+      0.16463528252909698, 286.53373175168537),
+     ("0x1.4000000000034p+1", "0x1.fed7481986378p-1", "0x1.52afca093e594p+8",
+      "0x1.000000000002ap+0", "0x1.0fb64a532142cp+18")),
+    # random, a * scale 0.0651
+    ((0.4070448756787409, 2.4737788506523026, 0.039939638589989564,
+      0.019066284359107854, 0.36058698477579204),
+     ("0x1.2d30a6fe2068bp-64", "0x1.9de0d44aebe38p-65",
+      "0x1.8b27085293780p-66", "0x1.e1e771969a412p-66",
+      "0x1.04e0941d7595ap-72")),
+    # random, a * scale 93.9
+    ((-0.019640129714394897, 0.5694684533368892, 0.09040983262911496,
+      0.05334267965668249, 79.52875780427568),
+     ("0x1.3ffffffffffffp+1", "0x1.12a6e2aa2e6b9p-2", "0x1.29fb45ab291cdp+4",
+      "0x1.ffffffffffffep-1", "0x1.2352f28d185d6p+11")),
+    # random, a * scale 0.494
+    ((0.23464672841941528, 6.724277570397337, 0.023136118267145803,
+      0.26179784456863964, 2.9040733533598955),
+     ("0x1.8a87fb143fc58p-23", "0x1.55f8f21670cbcp-26",
+      "0x1.e3b360c1fa21ep-23", "0x1.3b9ffc1033046p-24",
+      "0x1.c4766feee599fp-28")),
+)
+
+
+def test_shared_scale_matches_the_former_kernel(monkeypatch):
+    # the shared log scale changes rounding only: 1e-14 relative (floor
+    # 1e-3) up to _SHARP_TILT, where every rsb_bpsk state lies, and 1e-11
+    # past it, where a^2 v / 2 reaches 1e5 and its rounding moves either
+    # form (3.4e-13 measured at a * scale 2,060)
+    layouts = _recorded_layouts(monkeypatch)
+    regimes, cut = set(), 0
+    for state, hexes in _FORMER_KERNEL:
+        lambda2, xi, rho_rs, rho1, mu = state
+        got = _binary_moments(PenaltySpec(lambda2=lambda2), BPSK, xi, rho_rs,
+                              rho1, mu)
+        _, a, s0, s, _ = args = _node_args(*state)
+        gentle = a * max(s0, s) <= rsb._SHARP_TILT
+        rtol = 1e-14 if gentle else 1e-11
+        for value, ref in zip(got, map(float.fromhex, hexes)):
+            assert abs(value - ref) <= rtol * max(abs(ref), 1e-3), (
+                state, got)
+        regimes.add(gentle)
+        kept = rsb._outer_nodes(*args)[0].size
+        with monkeypatch.context() as m:
+            m.setattr(rsb, "_TAIL_EPS", 0.0)
+            cut += kept < rsb._outer_nodes(*args)[0].size
+    # both panel regimes, odd and even centre counts, and the tail cut
+    assert regimes == {True, False}
+    assert {centre % 2 for centre, _ in layouts} == {0, 1}
+    assert cut == len(_FORMER_KERNEL)
 
 
 def test_damped_fixed_point_cases():
