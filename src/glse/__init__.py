@@ -12,8 +12,8 @@ from .penalties import (PenaltySpec, SupportSpec, decouple, decouple_grid,
 from .replica import (RsSolution, ScenarioSpec, lemma2_bound,
                       random_tas_asymptote, rate_lower_bound,
                       solve_rs_generic, solve_rs_scenario, tune)
-from .rmt import (ChannelSample, ChannelSpec, empirical_stieltjes,
-                  limiting_stieltjes, r_transform, sample_channel)
+from .rmt import (ChannelSpec, empirical_stieltjes, limiting_stieltjes,
+                  r_transform, sample_channel)
 from .rsb import RsbSolution, solve_rsb1
 
 __version__ = "0.1.0"

@@ -13,25 +13,13 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .harness import (emit_csv, load_sweep_config, run_sweep, run_trials,
-                      users_for)
-from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec
+from .harness import (emit_csv, load_sweep_config, make_support, run_sweep,
+                      run_trials, trial_summary, users_for)
+from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec
 from .replica import (ScenarioSpec, lemma2_bound, rate_lower_bound,
                       solve_rs_scenario, tune)
 from .rsb import solve_rsb1
-
-
-def _support_from_args(args):
-    if args.kind == FULL:
-        return SupportSpec.full_complex()
-    if args.peak_power is None:
-        raise ConfigurationError(f"--peak-power required for kind {args.kind}")
-    if args.kind == DISK:
-        return SupportSpec.disk(args.peak_power)
-    return SupportSpec.mpsk_zero(args.order, args.peak_power)
 
 
 def _penalty_from_args(args):
@@ -49,7 +37,8 @@ def _penalty_from_args(args):
 
 
 def _spec_from_args(args, penalty):
-    return ScenarioSpec(penalty=penalty, support=_support_from_args(args),
+    support = make_support(args.kind, args.peak_power, args.order)
+    return ScenarioSpec(penalty=penalty, support=support,
                         load=1.0 / args.alpha_inv, rho=args.rho)
 
 
@@ -79,14 +68,13 @@ def _cmd_tune(args):
 def _cmd_simulate(args):
     k = users_for(args.n, args.alpha_inv)
     penalty = _penalty_from_args(args)
-    support = _support_from_args(args)
-    d, p, eta = run_trials(args.n, k, args.rho, penalty, support,
-                           range(args.seed, args.seed + args.trials))
+    support = make_support(args.kind, args.peak_power, args.order)
+    d, d_err, power, activity = trial_summary(*run_trials(
+        args.n, k, args.rho, penalty, support,
+        range(args.seed, args.seed + args.trials)))
     _emit({"n_trials": args.trials, "seed": args.seed,
-           "distortion_mean": d.mean(),
-           "distortion_stderr": (d.std(ddof=1) / np.sqrt(len(d))
-                                 if len(d) > 1 else 0.0),
-           "power_mean": p.mean(), "activity_mean": eta.mean()})
+           "distortion_mean": d, "distortion_stderr": d_err,
+           "power_mean": power, "activity_mean": activity})
     return 0
 
 
@@ -115,35 +103,26 @@ def _cmd_bound(args):
     return 0
 
 
-def _positive_int(text):
-    """argparse type for counts: an int >= 1 (argparse exits 2 otherwise)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {value}")
-    return value
+def _above(cast, low):
+    """argparse type for a cast(text) above low; argparse exits 2 on any
+    other value, a NaN included."""
+    bound = (f"an integer >= {low + 1}" if cast is int
+             else f"a number > {low}")
 
+    def parse(text):
+        value = cast(text)
+        if not value > low:
+            raise argparse.ArgumentTypeError(
+                f"expected {bound}, got {value}")
+        return value
 
-def _nonnegative_int(text):
-    """argparse type for --seed: an int >= 0 (exits 2 otherwise)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {value}")
-    return value
-
-
-def _positive_float(text):
-    """argparse type for --alpha-inv: a float > 0 (exits 2 otherwise)."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {value}")
-    return value
+    parse.__name__ = cast.__name__
+    return parse
 
 
 def _add_scenario_args(sub, need_penalty=True):
     sub.add_argument("--kind", choices=[FULL, DISK, MPSK_ZERO], default=FULL)
-    sub.add_argument("--alpha-inv", type=_positive_float, required=True)
+    sub.add_argument("--alpha-inv", type=_above(float, 0), required=True)
     sub.add_argument("--rho", type=float, default=1.0)
     sub.add_argument("--peak-power", type=float, default=None)
     sub.add_argument("--order", type=int, default=4)
@@ -177,19 +156,19 @@ def build_parser():
 
     p = subs.add_parser("simulate", help="one Monte Carlo batch")
     _add_scenario_args(p)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--n", type=_above(int, 0), required=True)
+    p.add_argument("--trials", type=_above(int, 0), default=100)
+    p.add_argument("--seed", type=_above(int, -1), default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("sweep", help="full sweep config to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_above(int, 0), default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("bound", help="distortion lower bound and rate bound")
-    p.add_argument("--alpha-inv", type=_positive_float, required=True)
+    p.add_argument("--alpha-inv", type=_above(float, 0), required=True)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--peak-power", type=float, required=True)

@@ -35,6 +35,8 @@ _GRAM_STACK_BYTES = 1 << 20
 
 _ETA_FIT_BOUNDS = (0.05, 0.999)  # activity interval of fit_equivalent_eta
 
+_SCENARIO_KEYS = {"kind", "sparsity", "peak_power", "order", "rsb"}
+
 CSV_COLUMNS = ("alpha_inv", "eta_target", "power_target", "rho", "scenario",
                "lambda", "lambda0", "lambda1", "P", "M", "chi", "p", "D_rs",
                "D_rs_dB", "D_rsb", "eta_replica", "rate_lb", "D_lemma2",
@@ -81,6 +83,18 @@ class GridPoint:
                 f"papr_db must be finite, got {self.papr_db}")
 
 
+def make_support(kind, peak_power, order):
+    """The SupportSpec of a scenario kind, peak power and (for mpsk_zero)
+    order; the full plane ignores both."""
+    if kind == FULL:
+        return SupportSpec.full_complex()
+    if peak_power is None:
+        raise ConfigurationError(f"kind {kind} needs a peak power")
+    if kind == DISK:
+        return SupportSpec.disk(peak_power)
+    return SupportSpec.mpsk_zero(order, peak_power)
+
+
 def _config_int(value, name):
     """An integer config entry as an int; ConfigurationError otherwise."""
     try:
@@ -111,11 +125,23 @@ class SweepConfig:
             raise ConfigurationError("grid must be nonempty")
         if not isinstance(self.scenario, dict):
             raise ConfigurationError("scenario must be a mapping")
+        if not _SCENARIO_KEYS.issuperset(self.scenario):
+            raise ConfigurationError(
+                f"scenario keys must be among {sorted(_SCENARIO_KEYS)}")
         kind = self.scenario.get("kind")
         if kind not in (FULL, DISK, MPSK_ZERO):
             raise ConfigurationError(f"unknown scenario kind {kind!r}")
-        if kind == MPSK_ZERO:  # _support_for reads the order
+        if self.scenario.get("sparsity", "l0") not in ("l0", "l1"):
+            raise ConfigurationError("scenario.sparsity must be l0 or l1")
+        if not isinstance(self.scenario.get("rsb", True), bool):
+            raise ConfigurationError("scenario.rsb must be true or false")
+        if kind == MPSK_ZERO:  # SupportSpec truncates a fractional order
             _config_int(self.scenario.get("order", 0), "scenario.order")
+        for point in self.grid:
+            try:
+                _support_for(self.scenario, point)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"scenario: {exc}") from exc
         if self.mc is not None:
             if not isinstance(self.mc, dict):
                 raise ConfigurationError("mc must be a mapping")
@@ -185,19 +211,12 @@ class ExperimentRecord:
 
 
 def _support_for(scenario, point):
-    kind = scenario["kind"]
-    if kind == FULL:
-        return SupportSpec.full_complex()
+    """The support of a grid point; a given papr_db sets the peak power to
+    the point's power times 10^(papr_db/10)."""
+    peak = scenario.get("peak_power")
     if point.papr_db is not None:
         peak = point.power * 10.0 ** (point.papr_db / 10.0)
-    else:
-        peak = scenario.get("peak_power")
-    if peak is None:
-        raise ConfigurationError(
-            "bounded supports need peak_power or papr_db")
-    if kind == DISK:
-        return SupportSpec.disk(peak)
-    return SupportSpec.mpsk_zero(int(scenario.get("order", 0)), peak)
+    return make_support(scenario["kind"], peak, scenario.get("order", 0))
 
 
 def _scenario_label(scenario, support):
@@ -241,7 +260,7 @@ def _stack_size(n):
 
 def _sample_trial(n, k, seed):
     """The (H, s) instance of trial seed."""
-    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed)).matrix
+    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed))
     rng = np.random.default_rng([seed, 0x5EED])
     s = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     return h, s
@@ -314,6 +333,13 @@ def run_trial(n, k, rho, penalty, support, seed, state=None):
         n, k, rho, penalty, support, [seed], state))
 
 
+def trial_summary(d, pw, act):
+    """(mean distortion, its standard error, mean power, mean activity) of
+    the arrays of run_trials; the standard error of one trial is 0."""
+    stderr = float(d.std(ddof=1) / np.sqrt(len(d))) if len(d) > 1 else 0.0
+    return float(d.mean()), stderr, float(pw.mean()), float(act.mean())
+
+
 def _mc_batch(point, penalty, support, state, mc, n_workers):
     n = int(mc["n"])
     k = users_for(n, point.alpha_inv)
@@ -331,10 +357,8 @@ def _mc_batch(point, penalty, support, state, mc, n_workers):
             results = list(pool.map(run_trials, *zip(*args)))
     else:
         results = [run_trials(*a) for a in args]
-    d, pw, act = (np.concatenate(col) for col in zip(*results))
-    stderr = float(d.std(ddof=1) / np.sqrt(len(d))) if len(d) > 1 else 0.0
-    return (float(d.mean()), stderr, float(pw.mean()), float(act.mean()),
-            n_channels, base_seed)
+    summary = trial_summary(*(np.concatenate(col) for col in zip(*results)))
+    return summary + (n_channels, base_seed)
 
 
 def run_sweep(config: SweepConfig, n_workers=1):

@@ -57,23 +57,8 @@ class ChannelSpec:
                            _validate_atoms(self.pathloss_atoms))
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One sampled channel matrix H (shape K x N)."""
-
-    matrix: np.ndarray
-
-    def gramian(self):
-        """J = H^H H, an N x N Hermitian matrix."""
-        return self.matrix.conj().T @ self.matrix
-
-    def eigenvalues(self):
-        """Eigenvalues of the Gramian, ascending (zeros included)."""
-        return np.linalg.eigvalsh(self.gramian())
-
-
-def sample_channel(spec: ChannelSpec) -> ChannelSample:
-    """Draw H = A^{1/2} G for one coherence block.
+def sample_channel(spec: ChannelSpec) -> np.ndarray:
+    """Draw H = A^{1/2} G (shape K x N) for one coherence block.
 
     G has i.i.d. CN(0, 1/N) entries (variance 1/(2N) per real component)
     and A is diagonal with i.i.d. draws from the path-loss atoms.
@@ -86,8 +71,7 @@ def sample_channel(spec: ChannelSpec) -> ChannelSample:
     gains = np.array([a for a, _ in spec.pathloss_atoms])
     probs = np.array([p for _, p in spec.pathloss_atoms])
     a_diag = rng.choice(gains, size=k, p=probs / probs.sum())
-    h = np.sqrt(a_diag)[:, None] * g
-    return ChannelSample(matrix=h)
+    return np.sqrt(a_diag)[:, None] * g
 
 
 def _r_transform(load, atoms, omega, derivative=False):
@@ -119,11 +103,12 @@ def r_transform_derivative(load, pathloss_atoms, omega):
                         derivative=True)
 
 
-def empirical_stieltjes(sample: ChannelSample, s: complex) -> complex:
-    """Empirical Stieltjes transform (1/N) sum_n (lambda_n - s)^{-1} of J."""
+def empirical_stieltjes(h, s: complex) -> complex:
+    """Empirical Stieltjes transform (1/N) sum_n (lambda_n - s)^{-1} of
+    J = H^H H, for the K x N channel matrix h."""
     if np.imag(s) == 0:
         raise DomainError("s must have nonzero imaginary part")
-    lam = sample.eigenvalues()
+    lam = np.linalg.eigvalsh(h.conj().T @ h)
     return complex(np.mean(1.0 / (lam - s)))
 
 
@@ -139,15 +124,9 @@ def limiting_stieltjes(load, pathloss_atoms, s):
     if np.imag(s) == 0:
         raise DomainError("s must have nonzero imaginary part")
     atoms = _validate_atoms(pathloss_atoms)
-    gains = np.array([a for a, _ in atoms])
-    probs = np.array([p for _, p in atoms])
-
-    def r_neg(g):
-        return load * np.sum(probs * gains / (1.0 + gains * g))
-
     g = -1.0 / s
     for _ in range(_STIELTJES_MAX_ITER):
-        g_new = 1.0 / (r_neg(g) - s)
+        g_new = 1.0 / (_r_transform(load, atoms, -g) - s)
         step = g_new - g
         g = g + 0.5 * step
         if abs(step) < _STIELTJES_TOL:

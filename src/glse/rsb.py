@@ -34,25 +34,23 @@ tilted masses and the dead zone's tilt 1, so one exp forms every
 positive term (the masses, the dead zone's factor and the Gaussian parts
 of the tilted first moments) at most 1 in size, and log Z = L + log of
 their sum; the first moments are sums of two positive terms, with no
-cancellation. Against the former per-region logaddexp form this moves
-the outputs by rounding only: within 8e-16 relative on the 8,620 states
-of the rsb_bpsk solve, and on random states within 1.5e-14 (floor 1e-3)
-up to _SHARP_TILT, in a small E log Z where the former form is the less
-accurate one, and 2.5e-12 past it, where a^2 v / 2 reaches 1e5 and its
-rounding moves either form. The outer rule is one cached layout per
-pair of panel counts, scaled to the centre and outer intervals, and
-only its leading nodes up to t_cut = s0 sqrt(2 (ln(1/eps) + ln(1 + a lim
-+ a^2 v))), eps = 1e-25, are evaluated. Past t_cut the outer Gaussian
-factor exp(-t0^2 / (2 s0^2)) is below eps / (1 + a lim + a^2 v), and the
-integrands grow no faster than that denominator (e <= 1, log Z <= a lim +
-a^2 v / 2, the tilted first moment) or than lim (t0 e), so the dropped
-tail is some 1e-25 relative, far below the sums' rounding. The kept nodes
-keep their positions and weights, so each kept term is the one the full
-rule forms and only the sums lose their last terms; respacing the panels
-over [0, t_cut] would move every node, and the outputs by the rule's own
-error. Larger constellations and constant envelope have no accurate
-tilted moments here, so their broken solve is refused; the degenerate
-c = 0 solve needs no tilt and covers every constellation.
+cancellation. The tests pin the outputs at 16 states to 1e-14 relative
+(floor 1e-3) up to _SHARP_TILT and 1e-11 past it, where a^2 v / 2
+reaches 1e5 and its rounding moves the last digits. The outer rule is
+one cached layout per pair of panel counts, scaled to the centre and
+outer intervals, and only its leading nodes up to t_cut = s0 sqrt(2
+(ln(1/eps) + ln(1 + a lim + a^2 v))), eps = 1e-25, are evaluated. Past
+t_cut the outer Gaussian factor exp(-t0^2 / (2 s0^2)) is below eps / (1
++ a lim + a^2 v), and the integrands grow no faster than that
+denominator (e <= 1, log Z <= a lim + a^2 v / 2, the tilted first
+moment) or than lim (t0 e), so the dropped tail is some 1e-25 relative,
+far below the sums' rounding. The kept nodes keep their positions and
+weights, so each kept term is the one the full rule forms and only the
+sums lose their last terms; respacing the panels over [0, t_cut] would
+move every node, and the outputs by the rule's own error. Larger
+constellations and constant envelope have no accurate tilted moments
+here, so their broken solve is refused; the degenerate c = 0 solve needs
+no tilt and covers every constellation.
 """
 
 from __future__ import annotations
@@ -222,9 +220,7 @@ def _binary_moments(penalty, support, xi, rho_rs, rho1, mu):
     The outer rule stops at t_cut (_outer_nodes), past which the Gaussian
     weight is below _TAIL_EPS / (1 + a lim + a^2 v): each integral loses
     some 1e-25 of its size (module docstring). The kept nodes are the full
-    rule's, at the same positions with the same weights. Against the former
-    per-region logaddexp form the outputs move by rounding only (module
-    docstring): within 8e-16 relative on the states of an rsb_bpsk solve.
+    rule's, at the same positions with the same weights.
     """
     log_ndtr, ndtr = _erf_ufuncs()
     shrink = check_domain(penalty, xi)

@@ -47,7 +47,7 @@ def test_criterion_01_rzf_equivalence(capsys):
     worst = 0.0
     for i in range(50):
         h = sample_channel(ChannelSpec(n_tx=64, n_users=32,
-                                       rng_seed=500 + i)).matrix
+                                       rng_seed=500 + i))
         s = _data(32, [500 + i, 7])
         lam = float(np.random.default_rng([500 + i, 8]).uniform(0.1, 2.0))
         out = glse_convex(h, s, 1.0, PenaltySpec(lambda2=lam), FULL,
@@ -173,7 +173,7 @@ def test_criterion_05_decoupled_precoder_oracle(capsys):
 
 
 def _exhaustive_min_distortion(n, k, eta, peak, seed):
-    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed)).matrix
+    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed))
     s = _data(k, [seed, 0x5EED])
     target = s  # rho = 1
     n_act = int(round(eta * n))
@@ -238,9 +238,9 @@ def test_criterion_07_rsb_degeneration(capsys):
 
 
 def test_criterion_08_spectrum_check(capsys):
-    sample = sample_channel(ChannelSpec(n_tx=512, n_users=256, rng_seed=17))
+    h = sample_channel(ChannelSpec(n_tx=512, n_users=256, rng_seed=17))
     pts = -np.linspace(0.3, 5.0, 10) + 0.01j
-    errs = [abs(empirical_stieltjes(sample, s)
+    errs = [abs(empirical_stieltjes(h, s)
                 - limiting_stieltjes(0.5, [(1.0, 1.0)], s)) for s in pts]
     _report(capsys, 8, "Stieltjes transform check", max(errs) < 1e-2,
             f"(max err {max(errs):.3g} over 10 points)")

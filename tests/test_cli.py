@@ -49,6 +49,17 @@ def test_simulate_command(capsys):
     assert payload["distortion_mean"] > 0
 
 
+def test_simulate_json_is_pinned(capsys):
+    # the batch summary the sweep's Monte Carlo columns share
+    assert main(["simulate", "--alpha-inv", "2", "--n", "16", "--trials",
+                 "5", "--lambda2", "0.3", "--lambda1", "0.2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n_trials": 5, "seed": 0,
+        "distortion_mean": 0.21332718056551592,
+        "distortion_stderr": 0.04671529891265725,
+        "power_mean": 0.1615112507865925, "activity_mean": 0.8375}
+
+
 def test_simulate_accepts_sweep_integral_users(capsys):
     # 64/1.3061224489795917 = 49 up to rounding; a sweep accepts this point,
     # so simulate must too
@@ -156,19 +167,29 @@ def test_replica_and_tune_power_not_finite_exits_2(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["replica", "--lambda2", "0.5"],
-    ["tune", "--power", "0.5", "--eta", "0.3"],
-    ["simulate", "--n", "16", "--trials", "1", "--lambda2", "0.3"],
-    ["bound", "--eta", "0.4", "--peak-power", "2.5"],
+    ["replica", "--lambda2", "0.5", "--alpha-inv", "0"],
+    ["tune", "--power", "0.5", "--eta", "0.3", "--alpha-inv", "0"],
+    ["simulate", "--n", "16", "--trials", "1", "--lambda2", "0.3",
+     "--alpha-inv", "0"],
+    ["bound", "--eta", "0.4", "--peak-power", "2.5", "--alpha-inv", "0"],
+    ["replica", "--lambda2", "0.5", "--alpha-inv", "nan"],
 ])
 def test_alpha_inv_not_positive_exits_2(capsys, argv):
     # --alpha-inv 0 used to end in a ZeroDivisionError traceback (exit 1)
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--alpha-inv", "0"])
+        main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "expected a number > 0" in captured.err
+    assert f"expected a number > 0, got {argv[-1]}" in captured.err
+
+
+def test_bound_command_at_vanishing_load(capsys):
+    # at alpha_inv 1e-17 the Lambert-W argument reaches its branch point:
+    # r = 1 and the bound is rho + eta * P
+    assert main(["bound", "--alpha-inv", "1e-17", "--eta", "0.4",
+                 "--peak-power", "2.5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"lemma2": 2.0}
 
 
 def test_bound_command(capsys):
@@ -246,13 +267,31 @@ def test_broken_solve_refuses_qpsk(capsys):
     ("{kind: full}", "{n: 16, n_channels: 2, seed: -1}"),
     ("{kind: mpsk_zero, order: 2.5, peak_power: 2.5, rsb: false}",
      "{n: 16, n_channels: 2}"),
+    ("{kind: full, sparsity: l2}", "{n: 16, n_channels: 2}"),
+    ("{kind: full, sparsty: l1}", "{n: 16, n_channels: 2}"),
+    ("{kind: disk, sparsity: l1, peak_power: -1}", "{n: 16, n_channels: 2}"),
+    ("{kind: disk, sparsity: l1, peak_power: .inf}",
+     "{n: 16, n_channels: 2}"),
+    ("{kind: disk, sparsity: l1, peak_power: abc}",
+     "{n: 16, n_channels: 2}"),
+    ("{kind: disk, sparsity: l1}", "{n: 16, n_channels: 2}"),
+    ("{kind: mpsk_zero, peak_power: 2.5, rsb: false}",
+     "{n: 16, n_channels: 2}"),
+    ("{kind: mpsk_zero, order: 1, peak_power: 2.5, rsb: false}",
+     "{n: 16, n_channels: 2}"),
+    ("{kind: mpsk_zero, order: 2, peak_power: 2.5, rsb: 'no'}",
+     "{n: 16, n_channels: 2}"),
 ], ids=["scenario_not_mapping", "mc_not_mapping", "mc_n_not_int",
         "mc_seed_not_int", "mc_n_fractional", "mc_n_channels_fractional",
         "mc_seed_fractional", "mc_n_infinite", "mc_seed_negative",
-        "order_fractional"])
+        "order_fractional", "sparsity_l2", "unknown_key",
+        "peak_power_negative", "peak_power_infinite", "peak_power_not_number",
+        "peak_power_missing", "order_missing", "order_1", "rsb_not_bool"])
 def test_malformed_sweep_config_exits_2(tmp_path, capsys, scenario, mc):
-    # each of these used to end in a traceback (exit 1), or for a fractional
-    # count or order to be truncated to an int
+    # each of these used to end in a traceback (exit 1), for a fractional
+    # count or order to be truncated to an int, for an unknown key to be
+    # ignored, or for a bad support, sparsity or rsb flag to reach the rows
+    # (exit 3 under --strict, or a row written from the bad value)
     cfg = tmp_path / "sweep.yaml"
     cfg.write_text(
         "spec_version: '1'\n"
@@ -260,9 +299,11 @@ def test_malformed_sweep_config_exits_2(tmp_path, capsys, scenario, mc):
         "grid:\n"
         "  - {alpha_inv: 2.0, eta: 0.7, power: 0.5}\n"
         f"mc: {mc}\n")
-    assert main(["sweep", "--config", str(cfg),
-                 "--output", str(tmp_path / "out.csv")]) == 2
+    out = tmp_path / "out.csv"
+    assert main(["--strict", "sweep", "--config", str(cfg),
+                 "--output", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["rho", "power"])

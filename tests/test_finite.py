@@ -17,7 +17,7 @@ from glse.rmt import ChannelSpec, sample_channel
 
 
 def _instance(n, k, seed):
-    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed)).matrix
+    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed))
     rng = np.random.default_rng(seed + 1)
     s = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     return h, s
@@ -263,7 +263,7 @@ def test_stationary_on_continued_branch():
 
 def _trial_instance(n, k, seed):
     # the instance harness.run_trial draws for this seed
-    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed)).matrix
+    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=seed))
     rng = np.random.default_rng([seed, 0x5EED])
     s = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     return h, s

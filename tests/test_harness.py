@@ -11,7 +11,8 @@ from glse.harness import (CSV_COLUMNS, ExperimentRecord, GridPoint,
                           load_sweep_config, read_csv,
                           run_sweep, run_trial, run_trials, to_db)
 from glse.penalties import PenaltySpec, SupportSpec
-from glse.replica import ScenarioSpec, random_tas_asymptote, tune
+from glse.replica import (ScenarioSpec, random_tas_asymptote,
+                          rate_lower_bound, tune)
 
 
 def _config(mc=None, **scenario_extra):
@@ -242,6 +243,42 @@ def test_run_sweep_records_negative_l0_weights():
     assert rec.lambda0 < 0 and rec.lambda2 < 0
     assert rec.error.startswith("ConfigurationError")
     assert rec.mc_d_mean is None
+
+
+def test_disk_row_takes_its_peak_power_from_papr_db(tmp_path):
+    grid = (GridPoint(alpha_inv=2.0, eta=0.7, power=0.5, papr_db=3.0),)
+    records = run_sweep(SweepConfig(
+        scenario={"kind": "disk", "sparsity": "l1"}, grid=grid))
+    path = tmp_path / "out.csv"
+    emit_csv(records, path)
+    (row,) = read_csv(path)
+    assert records[0].error is None
+    assert row["scenario"] == "disk_l1"
+    assert row["P"] == "0.997631157484"  # 0.5 * 10**0.3
+
+
+def test_row_with_sigma2_records_the_rate_lower_bound():
+    grid = (GridPoint(alpha_inv=2.0, eta=0.7, power=0.5, papr_db=3.0,
+                      sigma2=0.1),)
+    (rec,) = run_sweep(SweepConfig(
+        scenario={"kind": "disk", "sparsity": "l1"}, grid=grid))
+    assert rec.error is None
+    assert rec.rate_lb == rate_lower_bound(rec.rho, rec.d_rs, 0.1)
+
+
+def test_bpsk_row_monte_carlo_is_the_mean_of_its_trials():
+    # a constellation row solves each trial by exhaustive search
+    grid = (GridPoint(alpha_inv=2.5, eta=0.4, power=1.0),)
+    bpsk = {"kind": "mpsk_zero", "order": 2, "peak_power": 2.5, "rsb": False}
+    (rec,) = run_sweep(SweepConfig(scenario=bpsk, grid=grid,
+                                   mc={"n": 5, "n_channels": 2, "seed": 0}))
+    assert rec.error is None and rec.scenario == "mpsk2"
+    pen = PenaltySpec(lambda2=rec.lambda2, lambda0=rec.lambda0,
+                      lambda1=rec.lambda1)
+    d, _, _ = run_trials(5, 2, 1.0, pen, SupportSpec.mpsk_zero(2, 2.5),
+                         range(2))
+    assert rec.n_trials == 2
+    assert rec.mc_d_mean == d.mean()
 
 
 def test_emit_csv_header_and_missing_fields(tmp_path):

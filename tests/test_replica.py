@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -5,12 +8,12 @@ from scipy.special import ndtri
 from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (_PANEL_WIDTH, ScenarioSpec, _active_segments,
-                          _first_root, _tune_root, _unpack_shrink_chi, _w,
-                          _w_prime, generic_moments, heuristic_rate,
-                          lemma2_bound, qfunc, random_tas_asymptote,
-                          rate_lower_bound, rs_distortion, scenario_moments,
-                          solution_at, solve_rs_generic, solve_rs_scenario,
-                          tune)
+                          _chord_newton, _first_root, _tune_root,
+                          _unpack_shrink_chi, _w, _w_prime, generic_moments,
+                          heuristic_rate, lemma2_bound, qfunc,
+                          random_tas_asymptote, rate_lower_bound,
+                          rs_distortion, scenario_moments, solution_at,
+                          solve_rs_generic, solve_rs_scenario, tune)
 from glse.rmt import r_transform, r_transform_derivative
 
 FULL = SupportSpec.full_complex()
@@ -43,7 +46,7 @@ def test_quadratic_power_matches_mc():
     la = 0.5
     sol = solve_rs_scenario(_spec(PenaltySpec(lambda2=la), load=0.5))
     n, k = 256, 128
-    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=9)).matrix
+    h = sample_channel(ChannelSpec(n_tx=n, n_users=k, rng_seed=9))
     rng = np.random.default_rng(10)
     s = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2)
     out = rzf(h, s, 1.0, la)
@@ -507,6 +510,35 @@ def test_root_loop_without_a_root_names_the_last_residual():
     with pytest.raises(ConfigurationError,
                        match=r"^no root \(last residual \[1\. 0\.\]\)$"):
         _first_root(kinked, ([-2.0, 1.0],), ConfigurationError, "no root")
+
+
+def test_chord_newton_refreshes_a_stale_jacobian_after_a_stalled_halving():
+    # sin z = 1/2 from z0 = -1.95: a chord step on a kept Jacobian finds no
+    # descent, so the loop refreshes the Jacobian in place and goes on to
+    # the root -11 pi/6
+    source, first = inspect.getsourcelines(_chord_newton)
+    stalled = next(i for i, line in enumerate(source)
+                   if "the halving stalled" in line)
+    refresh = first + next(i for i in range(stalled, len(source))
+                           if "jac = None" in source[i])
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not _chord_newton.__code__:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        z, f = _chord_newton(lambda z: np.sin(z) - 0.5, np.array([-1.95]))
+    finally:
+        sys.settrace(previous)
+    assert refresh in ran
+    assert z[0] == pytest.approx(-11 * np.pi / 6, rel=0, abs=1e-14)
+    assert abs(f[0]) < 1e-14
 
 
 def test_lemma2_bound_defining_equation():

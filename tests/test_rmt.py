@@ -12,21 +12,21 @@ from glse.rmt import (ChannelSpec, empirical_stieltjes, limiting_stieltjes,
 
 def test_sampling_deterministic():
     spec = ChannelSpec(n_tx=4, n_users=2, rng_seed=1234)
-    h1 = sample_channel(spec).matrix
-    h2 = sample_channel(spec).matrix
+    h1 = sample_channel(spec)
+    h2 = sample_channel(spec)
     assert h1.shape == (2, 4)
     np.testing.assert_array_equal(h1, h2)
 
 
 def test_sampling_seed_changes_draw():
-    a = sample_channel(ChannelSpec(n_tx=8, n_users=4, rng_seed=0)).matrix
-    b = sample_channel(ChannelSpec(n_tx=8, n_users=4, rng_seed=1)).matrix
+    a = sample_channel(ChannelSpec(n_tx=8, n_users=4, rng_seed=0))
+    b = sample_channel(ChannelSpec(n_tx=8, n_users=4, rng_seed=1))
     assert not np.array_equal(a, b)
 
 
 def test_entry_variance_contract():
     spec = ChannelSpec(n_tx=512, n_users=256, rng_seed=7)
-    h = sample_channel(spec).matrix
+    h = sample_channel(spec)
     mean_sq = np.mean(np.abs(h) ** 2)
     assert abs(mean_sq - 1.0 / 512) < 0.05 / 512
 
@@ -34,7 +34,7 @@ def test_entry_variance_contract():
 def test_zero_gain_atom_gives_zero_matrix():
     spec = ChannelSpec(n_tx=512, n_users=256, pathloss_atoms=[(0.0, 1.0)],
                        rng_seed=3)
-    h = sample_channel(spec).matrix
+    h = sample_channel(spec)
     assert np.all(h == 0)
 
 
@@ -87,7 +87,8 @@ def test_r_transform_empirical_cross_check():
     # with the atom formula alpha * E a/(1 + a)
     atoms = [(2.0, 0.5), (0.0, 0.5)]
     spec = ChannelSpec(n_tx=1024, n_users=512, pathloss_atoms=atoms, rng_seed=11)
-    lam = sample_channel(spec).eigenvalues()
+    h = sample_channel(spec)
+    lam = np.linalg.eigvalsh(h.conj().T @ h)
 
     def g_hat(s):
         return np.mean(1.0 / (lam - s))
@@ -106,31 +107,30 @@ def test_r_transform_empirical_cross_check():
 
 def test_empirical_stieltjes_zero_matrix():
     spec = ChannelSpec(n_tx=6, n_users=3, pathloss_atoms=[(0.0, 1.0)])
-    sample = sample_channel(spec)
-    assert empirical_stieltjes(sample, 1j) == pytest.approx(1j)
+    assert empirical_stieltjes(sample_channel(spec), 1j) == pytest.approx(1j)
 
 
 def test_empirical_stieltjes_rank_one():
     spec = ChannelSpec(n_tx=5, n_users=1, rng_seed=2)
-    sample = sample_channel(spec)
-    h = sample.matrix[0]
+    h = sample_channel(spec)
     n = 5
-    expected = ((1.0 / (np.vdot(h, h).real - 1j)) + (n - 1) * (1.0 / (-1j))) / n
-    assert empirical_stieltjes(sample, 1j) == pytest.approx(expected)
+    expected = ((1.0 / (np.vdot(h[0], h[0]).real - 1j))
+                + (n - 1) * (1.0 / (-1j))) / n
+    assert empirical_stieltjes(h, 1j) == pytest.approx(expected)
 
 
 def test_empirical_stieltjes_conjugate_symmetry():
-    sample = sample_channel(ChannelSpec(n_tx=32, n_users=16, rng_seed=5))
+    h = sample_channel(ChannelSpec(n_tx=32, n_users=16, rng_seed=5))
     for s in (0.3 + 0.2j, -1.0 + 0.01j, 2.0 + 1.0j):
-        g = empirical_stieltjes(sample, s)
-        g_conj = empirical_stieltjes(sample, np.conj(s))
+        g = empirical_stieltjes(h, s)
+        g_conj = empirical_stieltjes(h, np.conj(s))
         assert g_conj == pytest.approx(np.conj(g), rel=1e-12)
 
 
 def test_empirical_stieltjes_requires_nonreal_argument():
-    sample = sample_channel(ChannelSpec(n_tx=4, n_users=2))
+    h = sample_channel(ChannelSpec(n_tx=4, n_users=2))
     with pytest.raises(DomainError):
-        empirical_stieltjes(sample, 1.0)
+        empirical_stieltjes(h, 1.0)
 
 
 def test_limiting_stieltjes_solves_defining_relation():
@@ -151,9 +151,9 @@ def test_limiting_stieltjes_raises_at_iteration_cap(monkeypatch):
 
 def test_empirical_matches_limiting_stieltjes():
     spec = ChannelSpec(n_tx=512, n_users=256, rng_seed=17)
-    sample = sample_channel(spec)
+    h = sample_channel(spec)
     s = -1.0 + 0.01j
-    g_emp = empirical_stieltjes(sample, s)
+    g_emp = empirical_stieltjes(h, s)
     g_lim = limiting_stieltjes(0.5, [(1.0, 1.0)], s)
     assert abs(g_emp - g_lim) < 1e-2
 
@@ -176,7 +176,8 @@ def test_marchenko_pastur_ks_distance():
     # both laws have an atom at zero, so evaluate the sup on a dense grid
     # of right-continuity points instead of the jump-blind two-sided formula
     spec = ChannelSpec(n_tx=512, n_users=256, rng_seed=23)
-    lam = np.sort(sample_channel(spec).eigenvalues())
+    h = sample_channel(spec)
+    lam = np.sort(np.linalg.eigvalsh(h.conj().T @ h))
     lam[np.abs(lam) < 1e-9] = 0.0  # snap numerical zeros to the atom
     grid = np.unique(np.concatenate([lam, np.linspace(0.0, lam[-1] + 0.1, 800)]))
     emp = np.searchsorted(lam, grid, side="right") / lam.size
@@ -188,5 +189,5 @@ def test_marchenko_pastur_ks_distance():
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_sampling_pure_in_seed(seed):
     spec = ChannelSpec(n_tx=6, n_users=3, rng_seed=seed)
-    np.testing.assert_array_equal(sample_channel(spec).matrix,
-                                  sample_channel(spec).matrix)
+    np.testing.assert_array_equal(sample_channel(spec),
+                                  sample_channel(spec))
