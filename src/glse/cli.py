@@ -19,7 +19,6 @@ from .harness import (emit_csv, load_sweep_config, make_support, run_sweep,
 from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec
 from .replica import (ScenarioSpec, lemma2_bound, rate_lower_bound,
                       solve_rs_scenario, tune)
-from .rsb import solve_rsb1
 
 
 def _penalty_from_args(args):
@@ -50,6 +49,8 @@ def _emit(payload):
 def _cmd_replica(args):
     spec = _spec_from_args(args, _penalty_from_args(args))
     if args.rsb:
+        # deferred: only --rsb loads the one-step broken solver
+        from .rsb import solve_rsb1
         sol = solve_rsb1(spec)
     else:
         sol = solve_rs_scenario(spec)

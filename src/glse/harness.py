@@ -17,16 +17,15 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .finite import (glse_convex_stack, glse_exhaustive_discrete,
-                     glse_exhaustive_l0, glse_stationary)
+from .finite import (MAX_ENUM_DISCRETE, glse_convex_stack,
+                     glse_exhaustive_discrete, glse_exhaustive_l0,
+                     glse_stationary)
 from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec
 from .replica import (ScenarioSpec, lemma2_bound, random_tas_asymptote,
                       rate_lower_bound, tune)
 from .rmt import ChannelSpec, sample_channel
-from .rsb import solve_rsb1
 
 SPEC_VERSION = "1"
 
@@ -156,10 +155,20 @@ class SweepConfig:
                 raise ConfigurationError("mc.seed must be nonnegative")
             for point in self.grid:
                 users_for(n, point.alpha_inv)
+            if kind == MPSK_ZERO:  # every constellation trial enumerates
+                base = int(self.scenario["order"]) + 1
+                # N capped where 2^N alone passes the guard: no huge power
+                cap = MAX_ENUM_DISCRETE.bit_length()
+                if base ** min(n, cap) > MAX_ENUM_DISCRETE:
+                    raise ConfigurationError(
+                        f"(M+1)^N = {base}^{n} exceeds the enumeration "
+                        f"guard {MAX_ENUM_DISCRETE}; lower mc.n")
 
 
 def load_sweep_config(path) -> SweepConfig:
     """Parse a YAML sweep config file."""
+    # deferred: only a sweep reads a config, so no other command loads yaml
+    import yaml
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -395,6 +404,8 @@ def run_sweep(config: SweepConfig, n_workers=1):
                 rec.d_lemma2 = lemma2_bound(base.load, point.rho, point.eta,
                                             support.peak_power, support.order)
                 if config.scenario.get("rsb", True):
+                    # deferred: only a constellation sweep with RSB loads rsb
+                    from .rsb import solve_rsb1
                     spec = ScenarioSpec(penalty=pen, support=support,
                                         load=base.load, rho=point.rho)
                     rec.d_rsb = solve_rsb1(spec).distortion

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import (DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec,
@@ -252,15 +252,29 @@ def scenario_moments(penalty, support, xi, rho_rs):
 # s ~ CN(0, rho_rs), so each moment is an integral against e^{-u} du over
 # the activity segments of the ray.
 
-_PANEL_NODES, _PANEL_WEIGHTS = leggauss(16)
-# M-PSK phases as fractions of [0, pi/M]: 16-point panels halving toward
-# pi/M down to 2^-10 of the interval, since the BPSK ray integrand
-# exp(-h^2/(2 cos^2 theta)) is not analytic at theta = pi/2
-_PHASE_EDGES = np.append(1.0 - 0.5 ** np.arange(11), 1.0)
-_PHASE_HALF = 0.5 * np.diff(_PHASE_EDGES)[:, None]
-_PHASE_NODES = (0.5 * (_PHASE_EDGES[:-1] + _PHASE_EDGES[1:])[:, None]
-                + _PHASE_HALF * _PANEL_NODES).ravel()
-_PHASE_WEIGHTS = (_PHASE_HALF * _PANEL_WEIGHTS).ravel()
+@lru_cache(maxsize=None)
+def _gauss_rules():
+    """Read-only (nodes, weights, phase_nodes, phase_weights).
+
+    nodes and weights are the 16-point Gauss-Legendre rule on [-1, 1].
+    The phase rule places M-PSK phases as fractions of [0, pi/M] on
+    16-point panels halving toward pi/M down to 2^-10 of the interval,
+    since the BPSK ray integrand exp(-h^2/(2 cos^2 theta)) is not analytic
+    at theta = pi/2; its weights sum to 1.
+    """
+    # deferred: numpy.polynomial loads only when something integrates
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(16)
+    edges = np.append(1.0 - 0.5 ** np.arange(11), 1.0)
+    half = 0.5 * np.diff(edges)[:, None]
+    rules = (nodes, weights,
+             (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel(),
+             (half * weights).ravel())
+    for rule in rules:
+        rule.flags.writeable = False
+    return rules
+
+
 _PANEL_WIDTH = 1.0  # widest panel in t = sqrt(u)
 _U_TAIL = 80.0  # an unbounded segment is cut at lo + 80 (e^-80 ~ 2e-35)
 _U_SCAN, _SCAN_POINTS = 80.0, 4001  # regime scan grid in u
@@ -354,11 +368,12 @@ def _ray_moments(profile, rho_rs, phases=(1.0,), rim=np.inf):
     ray, lo, hi = _active_segments(profile, rho_rs, phases, rim)
     top = np.sqrt(np.minimum(hi, lo + _U_TAIL))
     a, b, seg = _panel_edges(np.sqrt(lo), top, _PANEL_WIDTH)
+    nodes, weights = _gauss_rules()[:2]
     half = 0.5 * (b - a)[:, None]
-    t = 0.5 * (a + b)[:, None] + half * _PANEL_NODES
+    t = 0.5 * (a + b)[:, None] + half * nodes
     s = phases[ray[seg], None] * (np.sqrt(rho_rs) * t)
     x = profile(s)
-    w = 2.0 * half * _PANEL_WEIGHTS * t * np.exp(-t * t)
+    w = 2.0 * half * weights * t * np.exp(-t * t)
     f = np.stack((np.abs(x) ** 2, (np.conj(x) * s).real)) * w
     power, cross = (np.bincount(ray[seg], m, minlength=phases.size)
                     for m in f.sum(axis=2))
@@ -381,8 +396,9 @@ def generic_moments(penalty, support, xi, rho_rs):
         return decouple(s, xi, penalty, support)
 
     if support.kind == MPSK_ZERO:
-        phases = np.exp(1j * np.pi / support.order * _PHASE_NODES)
-        weights = _PHASE_WEIGHTS  # they sum to 1: the mean over the phase
+        # the weights sum to 1: the mean over the phase
+        nodes, weights = _gauss_rules()[2:]
+        phases = np.exp(1j * np.pi / support.order * nodes)
     else:
         phases = weights = np.ones(1)
     return tuple(float(weights @ m) for m in _ray_moments(

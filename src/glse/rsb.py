@@ -60,12 +60,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .penalties import CONST_ENVELOPE, MPSK_ZERO, check_covered, check_domain
-from .replica import (ScenarioSpec, _w, _w_prime, rs_distortion,
-                      scenario_moments, solve_rs_scenario)
+from .replica import (ScenarioSpec, _gauss_rules, _w, _w_prime,
+                      rs_distortion, scenario_moments, solve_rs_scenario)
 
 _DAMPING = 0.5
 _TOL = 1e-9
@@ -107,7 +106,6 @@ def _r_integral(load, atoms, chi, chi_tilde):
     return load * total
 
 
-_GL16 = leggauss(16)
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
@@ -127,7 +125,7 @@ def _half_panels(count, centre):
     The panels cover [0, 1], or [-1, 1] for a centre interval, where an
     odd count puts one panel across 0. Returns (nodes, weights).
     """
-    x, w = _GL16
+    x, w = _gauss_rules()[:2]
     shift, span = (count, count) if centre else (0, 2 * count)
     nodes = (2 * np.arange(count)[:, None] + 1 - shift + x) / span
     keep = nodes > 0

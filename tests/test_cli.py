@@ -281,17 +281,21 @@ def test_broken_solve_refuses_qpsk(capsys):
      "{n: 16, n_channels: 2}"),
     ("{kind: mpsk_zero, order: 2, peak_power: 2.5, rsb: 'no'}",
      "{n: 16, n_channels: 2}"),
+    ("{kind: mpsk_zero, order: 2, peak_power: 2.5, rsb: false}",
+     "{n: 40, n_channels: 2}"),
 ], ids=["scenario_not_mapping", "mc_not_mapping", "mc_n_not_int",
         "mc_seed_not_int", "mc_n_fractional", "mc_n_channels_fractional",
         "mc_seed_fractional", "mc_n_infinite", "mc_seed_negative",
         "order_fractional", "sparsity_l2", "unknown_key",
         "peak_power_negative", "peak_power_infinite", "peak_power_not_number",
-        "peak_power_missing", "order_missing", "order_1", "rsb_not_bool"])
+        "peak_power_missing", "order_missing", "order_1", "rsb_not_bool",
+        "mc_n_past_enumeration_guard"])
 def test_malformed_sweep_config_exits_2(tmp_path, capsys, scenario, mc):
     # each of these used to end in a traceback (exit 1), for a fractional
     # count or order to be truncated to an int, for an unknown key to be
-    # ignored, or for a bad support, sparsity or rsb flag to reach the rows
-    # (exit 3 under --strict, or a row written from the bad value)
+    # ignored, or for a bad support, sparsity or rsb flag, or a constellation
+    # too large to enumerate, to reach the rows (exit 3 under --strict, or a
+    # row written from the bad value)
     cfg = tmp_path / "sweep.yaml"
     cfg.write_text(
         "spec_version: '1'\n"
@@ -304,6 +308,25 @@ def test_malformed_sweep_config_exits_2(tmp_path, capsys, scenario, mc):
                  "--output", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output, message", [
+    (None, "no output path"),
+    ("missing/out.csv", "cannot write CSV"),
+], ids=["no_output_path", "missing_directory"])
+def test_sweep_output_errors_exit_2(tmp_path, capsys, output, message):
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(
+        "spec_version: '1'\n"
+        "scenario: {kind: full, sparsity: l1}\n"
+        "grid:\n"
+        "  - {alpha_inv: 2.0, eta: 0.7, power: 0.5}\n")
+    argv = ["sweep", "--config", str(cfg)]
+    if output is not None:
+        argv += ["--output", str(tmp_path / output)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("field", ["rho", "power"])

@@ -336,16 +336,19 @@ def test_solvers_need_a_finite_nonnegative_rho(solver, rho):
 
 def test_exhaustive_l0_is_global_minimum():
     h, s = _instance(8, 4, 23)
-    pen = PenaltySpec(lambda2=0.1, lambda0=0.3)
-    out = glse_exhaustive_l0(h, s, 1.0, pen)
-    # every support set, ridge-optimal coefficients: none can beat it
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        mask = rng.integers(0, 2, size=8).astype(bool)
-        cand = np.zeros(8, dtype=complex)
-        cand[mask] = (rng.standard_normal(mask.sum())
-                      + 1j * rng.standard_normal(mask.sum()))
-        assert out.objective <= objective_value(h, s, 1.0, pen, cand) + 1e-9
+    # lambda2 = 0 takes the least-squares branch of each support's solve
+    for lambda2 in (0.1, 0.0):
+        pen = PenaltySpec(lambda2=lambda2, lambda0=0.3)
+        out = glse_exhaustive_l0(h, s, 1.0, pen)
+        # every support set, ridge-optimal coefficients: none can beat it
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            mask = rng.integers(0, 2, size=8).astype(bool)
+            cand = np.zeros(8, dtype=complex)
+            cand[mask] = (rng.standard_normal(mask.sum())
+                          + 1j * rng.standard_normal(mask.sum()))
+            assert out.objective <= objective_value(h, s, 1.0, pen,
+                                                    cand) + 1e-9
 
 
 def test_exhaustive_l0_rejects_l1_weight():

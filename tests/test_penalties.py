@@ -87,10 +87,10 @@ def test_decouple_uncovered_combination_rejected():
 
 
 def _scenarios(rng):
-    """Random (penalty, support) draws covering the five scenarios."""
+    """Random (penalty, support) draws covering the six scenarios."""
     lam = rng.uniform(0.0, 2.0)
     p = rng.uniform(0.25, 4.0)
-    scen = rng.integers(0, 5)
+    scen = rng.integers(0, 6)
     if scen == 0:
         return PenaltySpec(lambda2=lam, lambda0=rng.uniform(0, 2)), FULL
     if scen == 1:
@@ -99,6 +99,8 @@ def _scenarios(rng):
         return PenaltySpec(lambda2=lam, lambda0=rng.uniform(0, 2)), SupportSpec.disk(p)
     if scen == 3:
         return PenaltySpec(lambda2=lam, lambda1=rng.uniform(0, 2)), SupportSpec.disk(p)
+    if scen == 4:
+        return PenaltySpec(lambda2=lam), SupportSpec.constant_envelope(p)
     m = int(rng.choice([2, 4, 8]))
     return PenaltySpec(lambda2=lam), SupportSpec.mpsk_zero(m, p)
 
@@ -106,6 +108,11 @@ def _scenarios(rng):
 def _grid_error_bound(s, xi, pen, support, resolution):
     if support.kind == "mpsk_zero":
         return 1e-12
+    if support.kind == "const_envelope":
+        # on the ring the objective moves with the phase at a rate of at
+        # most 2 sqrt(P) |s|, and the grid's phase step is 2 pi/resolution
+        step = 2 * np.pi / resolution
+        return 2 * step * 2 * np.sqrt(support.peak_power) * abs(s) + 1e-9
     r_max = 4 * abs(s) + 4 * np.sqrt(xi * (pen.lambda0 + pen.lambda1) + 1.0)
     if support.kind == "disk":
         r_max = min(r_max, np.sqrt(support.peak_power))
