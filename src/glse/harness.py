@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .finite import (MAX_ENUM_DISCRETE, glse_convex_stack,
+from .finite import (MAX_ENUM_DISCRETE, MAX_ENUM_L0, glse_convex_stack,
                      glse_exhaustive_discrete, glse_exhaustive_l0,
                      glse_stationary)
 from .penalties import DISK, FULL, MPSK_ZERO, PenaltySpec, SupportSpec
@@ -134,8 +134,6 @@ class SweepConfig:
             raise ConfigurationError("scenario.sparsity must be l0 or l1")
         if not isinstance(self.scenario.get("rsb", True), bool):
             raise ConfigurationError("scenario.rsb must be true or false")
-        if kind == MPSK_ZERO:  # SupportSpec truncates a fractional order
-            _config_int(self.scenario.get("order", 0), "scenario.order")
         for point in self.grid:
             try:
                 _support_for(self.scenario, point)
@@ -163,6 +161,12 @@ class SweepConfig:
                     raise ConfigurationError(
                         f"(M+1)^N = {base}^{n} exceeds the enumeration "
                         f"guard {MAX_ENUM_DISCRETE}; lower mc.n")
+            elif (n > MAX_ENUM_L0 and min(p.eta for p in self.grid) < 1
+                  and self.scenario.get("sparsity", "l0") == "l0"):
+                # eta < 1 tunes l0 to lambda0 != 0: glse_exhaustive_l0 trials
+                raise ConfigurationError(
+                    f"N = {n} exceeds the l0 enumeration guard {MAX_ENUM_L0} "
+                    "at eta < 1; lower mc.n or use sparsity l1")
 
 
 def load_sweep_config(path) -> SweepConfig:

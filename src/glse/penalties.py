@@ -11,6 +11,7 @@ same map at xi = 2*step and `decouple_grid` is the brute-force oracle.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,13 @@ class SupportSpec:
             raise ConfigurationError(
                 f"peak_power must be finite and positive, got "
                 f"{self.peak_power}")
-        if self.kind == MPSK_ZERO and self.order < 2:
-            raise ConfigurationError("constellation order must be >= 2")
+        if self.kind == MPSK_ZERO:
+            order = self.order
+            if not (isinstance(order, numbers.Real) and order % 1 == 0
+                    and order >= 2):
+                raise ConfigurationError(
+                    f"constellation order must be an integer >= 2: {order!r}")
+            object.__setattr__(self, "order", int(order))
 
     @classmethod
     def full_complex(cls):
@@ -81,8 +87,7 @@ class SupportSpec:
 
     @classmethod
     def mpsk_zero(cls, order, peak_power):
-        return cls(kind=MPSK_ZERO, peak_power=float(peak_power),
-                   order=int(order))
+        return cls(kind=MPSK_ZERO, peak_power=float(peak_power), order=order)
 
     @classmethod
     def constant_envelope(cls, peak_power):

@@ -126,7 +126,8 @@ def _rs_state(spec, chi, p):
 # analytic per-scenario Gaussian moments
 # ---------------------------------------------------------------------------
 # Each returns (power, cross, eta) = (E|x|^2, E Re{conj(x) s}, P{x != 0})
-# for s ~ CN(0, rho_rs) pushed through the scalar decoupled precoder.
+# for s ~ CN(0, rho_rs) pushed through the scalar decoupled precoder, from
+# the shrink factor 1 + xi*lambda2 that check_domain returns.
 
 def _trunc_sq(rho_rs, a, b=np.inf):
     """E[r^2; a < r < b] for Rayleigh r with E r^2 = rho_rs."""
@@ -142,16 +143,14 @@ def _trunc_mean(rho_rs, a):
     return a * np.exp(-a * a / rho_rs) + root_pi_r * qfunc(np.sqrt(2.0 / rho_rs) * a)
 
 
-def _moments_full_l0(lam, lam0, xi, rho_rs):
-    shrink = 1.0 + xi * lam
+def _moments_full_l0(shrink, lam0, xi, rho_rs):
     tau0 = np.sqrt(xi * lam0 * shrink)
     e0 = np.exp(-tau0 * tau0 / rho_rs)
     sq = _trunc_sq(rho_rs, tau0)
     return sq / shrink**2, sq / shrink, e0
 
 
-def _moments_full_l1(lam, lam1, xi, rho_rs):
-    shrink = 1.0 + xi * lam
+def _moments_full_l1(shrink, lam1, xi, rho_rs):
     tau1 = xi * lam1 / 2.0
     e1 = np.exp(-tau1 * tau1 / rho_rs)
     q1 = qfunc(np.sqrt(2.0 / rho_rs) * tau1)
@@ -161,8 +160,7 @@ def _moments_full_l1(lam, lam1, xi, rho_rs):
     return power, cross, e1
 
 
-def _moments_disk_l0(lam, lam0, peak_power, xi, rho_rs):
-    shrink = 1.0 + xi * lam
+def _moments_disk_l0(shrink, lam0, peak_power, xi, rho_rs):
     root_p = np.sqrt(peak_power)
     tau0 = np.sqrt(xi * lam0 * shrink)
     tau_c = shrink * root_p
@@ -176,8 +174,7 @@ def _moments_disk_l0(lam, lam0, peak_power, xi, rho_rs):
     return power, cross, eta
 
 
-def _moments_disk_l1(lam, lam1, peak_power, xi, rho_rs):
-    shrink = 1.0 + xi * lam
+def _moments_disk_l1(shrink, lam1, peak_power, xi, rho_rs):
     root_p = np.sqrt(peak_power)
     tau1 = xi * lam1 / 2.0
     tau_c = shrink * root_p + tau1
@@ -193,7 +190,7 @@ def _moments_disk_l1(lam, lam1, peak_power, xi, rho_rs):
     return power, cross, e(tau1)
 
 
-def _moments_mpsk(lam, peak_power, order, xi, rho_rs):
+def _moments_mpsk(shrink, peak_power, order, xi, rho_rs):
     # deferred: the full-plane and disk moments need no scipy.special
     from scipy.special import ndtr, owens_t
 
@@ -201,7 +198,7 @@ def _moments_mpsk(lam, peak_power, order, xi, rho_rs):
     # P{X > h, 0 < Y < aX} for independent standard normals X, Y; at M = 2,
     # tan(pi/2) is a large finite float and eta reduces to Craig's 2Q(h)
     root_p = np.sqrt(peak_power)
-    tau0 = root_p * (1.0 + xi * lam) / 2.0
+    tau0 = root_p * shrink / 2.0
     h = np.sqrt(2.0 / rho_rs) * tau0
     half = np.pi / order
     a = np.tan(half)
@@ -214,8 +211,7 @@ def _moments_mpsk(lam, peak_power, order, xi, rho_rs):
     return float(peak_power * eta), float(cross), float(eta)
 
 
-def _moments_ce(lam, peak_power, xi, rho_rs):
-    shrink = 1.0 + xi * lam
+def _moments_ce(shrink, peak_power, xi, rho_rs):
     root_p = np.sqrt(peak_power)
     tau = root_p * shrink / 2.0
     eta = np.exp(-tau * tau / rho_rs)
@@ -230,19 +226,20 @@ def scenario_moments(penalty, support, xi, rho_rs):
     (penalties.check_domain), as the scalar minimizer does.
     """
     check_covered(penalty, support)
-    check_domain(penalty, xi)
-    lam, lam0, lam1 = penalty.lambda2, penalty.lambda0, penalty.lambda1
+    shrink = check_domain(penalty, xi)
+    lam0, lam1 = penalty.lambda0, penalty.lambda1
+    peak = support.peak_power
     if support.kind == FULL:
         if lam1 != 0:
-            return _moments_full_l1(lam, lam1, xi, rho_rs)
-        return _moments_full_l0(lam, lam0, xi, rho_rs)
+            return _moments_full_l1(shrink, lam1, xi, rho_rs)
+        return _moments_full_l0(shrink, lam0, xi, rho_rs)
     if support.kind == DISK:
         if lam1 != 0:
-            return _moments_disk_l1(lam, lam1, support.peak_power, xi, rho_rs)
-        return _moments_disk_l0(lam, lam0, support.peak_power, xi, rho_rs)
+            return _moments_disk_l1(shrink, lam1, peak, xi, rho_rs)
+        return _moments_disk_l0(shrink, lam0, peak, xi, rho_rs)
     if support.kind == MPSK_ZERO:
-        return _moments_mpsk(lam, support.peak_power, support.order, xi, rho_rs)
-    return _moments_ce(lam, support.peak_power, xi, rho_rs)
+        return _moments_mpsk(shrink, peak, support.order, xi, rho_rs)
+    return _moments_ce(shrink, peak, xi, rho_rs)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +545,25 @@ def _chi_from_q(q, what):
     return q / (1.0 - q)
 
 
-def _tune_root(spec, p_t, unpack, targets, starts, failure):
+def _weights(spec, sparsity, shrink, chi, sparse=None):
+    """(penalty, chi, xi) of the tuning unknowns; the one map to weights.
+
+    With xi = (1 + chi)/alpha: shrink = 1 + xi*lambda2, and sparse is the
+    threshold term tau0^2 = xi*lambda0*shrink (l0) or tau1 = xi*lambda1/2
+    (l1); None is a quadratic-only penalty, with sparse weights +0.0.
+    """
+    xi = (1.0 + chi) / spec.load
+    lam = (shrink - 1.0) / xi
+    if sparse is None:
+        pen = PenaltySpec(lambda2=lam)
+    elif sparsity == "l0":
+        pen = PenaltySpec(lambda2=lam, lambda0=sparse / (xi * shrink))
+    else:
+        pen = PenaltySpec(lambda2=lam, lambda1=2.0 * sparse / xi)
+    return pen, chi, xi
+
+
+def _tune_root(spec, rho_rs, unpack, targets, starts, failure):
     """(penalty, chi) of the first root over the starts, in order.
 
     unpack maps the unknowns z to (penalty, chi, xi); targets maps the
@@ -557,8 +572,6 @@ def _tune_root(spec, p_t, unpack, targets, starts, failure):
     equation of the fixed point, with rho_rs pinned by the power target.
     The root is _first_root's, with ConfigurationError(failure) if none.
     """
-    rho_rs = (spec.rho + p_t) / spec.load
-
     def equations(z):
         pen, chi, xi = unpack(z)
         power, cross, eta = scenario_moments(pen, spec.support, xi, rho_rs)
@@ -570,99 +583,74 @@ def _tune_root(spec, p_t, unpack, targets, starts, failure):
                               failure))[:2]
 
 
-def _unpack_shrink_chi(spec):
-    """Unknowns (log shrink, log chi) of a quadratic-only penalty."""
-    def unpack(z):
-        shrink, chi = np.exp(z)
-        xi = (1.0 + chi) / spec.load
-        return PenaltySpec(lambda2=(shrink - 1.0) / xi), chi, xi
-    return unpack
-
-
-def _tune_full_l0(spec, p_t, eta_t):
-    rho_rs = (spec.rho + p_t) / spec.load
+def _tune_full_l0(spec, rho_rs, p_t, eta_t):
+    """Closed-form unknowns (shrink, chi, tau0^2) of full-plane l0."""
     tau0_sq = -rho_rs * np.log(eta_t)
     # shrink = 1 + xi*lambda2 may fall below 1 (negative quadratic weight)
     shrink = np.sqrt((rho_rs + tau0_sq) * eta_t / p_t)
     chi = _chi_from_q(p_t * shrink / (spec.load * rho_rs), "chi/(1+chi)")
-    xi = (1.0 + chi) / spec.load
-    lam = (shrink - 1.0) / xi
-    lam0 = tau0_sq / (xi * shrink)
-    return PenaltySpec(lambda2=lam, lambda0=lam0), chi
+    # eta = 1 is quadratic only: no sparse weight, where tau0^2 is -0.0
+    return shrink, chi, tau0_sq if eta_t < 1.0 else None
 
 
-def _tune_full_l1(spec, p_t, eta_t):
-    rho_rs = (spec.rho + p_t) / spec.load
+def _tune_full_l1(spec, rho_rs, p_t, eta_t):
+    """Closed-form unknowns (shrink, chi, tau1) of full-plane l1."""
     tau1 = np.sqrt(-rho_rs * np.log(eta_t))
-    e1 = eta_t
     q1 = qfunc(np.sqrt(2.0 / rho_rs) * tau1)
     root_pi_r = np.sqrt(np.pi * rho_rs)
-    num = rho_rs * e1 - 2 * tau1 * root_pi_r * q1
+    num = rho_rs * eta_t - 2 * tau1 * root_pi_r * q1
     if num <= 0:
         raise ConfigurationError("infeasible targets: zero attainable power")
     shrink = np.sqrt(num / p_t)  # may be < 1: negative quadratic weight
-    zeta = e1 - tau1 * root_pi_r * q1 / rho_rs
+    zeta = eta_t - tau1 * root_pi_r * q1 / rho_rs
     chi = _chi_from_q(zeta / (spec.load * shrink), "chi/(1+chi)")
-    xi = (1.0 + chi) / spec.load
-    pen = PenaltySpec(lambda2=(shrink - 1.0) / xi, lambda1=2.0 * tau1 / xi)
-    return pen, chi
+    return shrink, chi, tau1
 
 
-def _tune_disk(spec, p_t, eta_t, sparsity):
-    # unknowns, solved in logs: shrink = 1 + xi*lambda2, sparse threshold
-    # tau and chi, all positive
+def _tune_disk(spec, rho_rs, p_t, eta_t, sparsity):
+    # unknowns, solved in logs: shrink, the sparse threshold tau (tau0 or
+    # tau1) and chi, all positive; the start is the full plane's closed form
+    closed_form = _tune_full_l0 if sparsity == "l0" else _tune_full_l1
     try:
-        if sparsity == "l0":
-            init_pen, chi0 = _tune_full_l0(spec, p_t, eta_t)
-        else:
-            init_pen, chi0 = _tune_full_l1(spec, p_t, eta_t)
+        shrink0, chi0, sparse0 = closed_form(spec, rho_rs, p_t, eta_t)
     except ConfigurationError:
-        init_pen, chi0 = PenaltySpec(lambda2=0.5, lambda0=0.1, lambda1=0.1), 1.0
-
-    xi0 = (1.0 + chi0) / spec.load
-    shrink0 = 1.0 + xi0 * init_pen.lambda2
-    tau0 = (np.sqrt(xi0 * init_pen.lambda0 * shrink0) if sparsity == "l0"
-            else xi0 * init_pen.lambda1 / 2.0)
+        # weights lambda2 = 0.5 and lambda0 or lambda1 = 0.1 at chi = 1
+        xi0, chi0 = 2.0 / spec.load, 1.0
+        shrink0 = 1.0 + xi0 * 0.5
+        sparse0 = xi0 * 0.1 * shrink0 if sparsity == "l0" else xi0 * 0.1 / 2.0
+    tau0 = np.sqrt(sparse0) if sparsity == "l0" else sparse0
 
     def unpack(z):
-        shrink = np.exp(z[0])
-        tau = np.exp(z[1])
-        chi = np.exp(z[2])
-        xi = (1.0 + chi) / spec.load
-        if sparsity == "l0":
-            pen = PenaltySpec(lambda2=(shrink - 1.0) / xi,
-                              lambda0=tau * tau / (xi * shrink))
-        else:
-            pen = PenaltySpec(lambda2=(shrink - 1.0) / xi,
-                              lambda1=2.0 * tau / xi)
-        return pen, chi, xi
+        shrink, tau, chi = np.exp(z)
+        return _weights(spec, sparsity, shrink, chi,
+                        tau * tau if sparsity == "l0" else tau)
 
     z0 = np.log([max(shrink0, 1e-3), max(tau0, 1e-3), max(chi0, 1e-3)])
     return _tune_root(
-        spec, p_t, unpack, {"power": p_t, "eta": eta_t}, [z0],
+        spec, rho_rs, unpack, {"power": p_t, "eta": eta_t}, [z0],
         f"tuning did not reach the targets; peak power "
         f"{spec.support.peak_power} may make (p={p_t}, eta={eta_t}) "
         "infeasible")
 
 
-def _tune_disk_power(spec, p_t):
+def _tune_disk_power(spec, rho_rs, p_t):
     """Quadratic-only weight on the disk support hitting the power target."""
     return _tune_root(
-        spec, p_t, _unpack_shrink_chi(spec), {"power": p_t},
-        ([0.0, 0.0], [0.5, 1.0], [-0.5, 2.0], [1.0, -1.0]),
+        spec, rho_rs, lambda z: _weights(spec, None, *np.exp(z)),
+        {"power": p_t}, ([0.0, 0.0], [0.5, 1.0], [-0.5, 2.0], [1.0, -1.0]),
         f"disk power tuning failed: peak power {spec.support.peak_power} "
         f"may be too small for target power {p_t}")
 
 
-def _tune_constellation(spec, p_t, eta_t):
+def _tune_constellation(spec, rho_rs, p_t, eta_t):
     peak = spec.support.peak_power
     if abs(peak * eta_t - p_t) > 1e-9 * max(p_t, 1.0):
         raise ConfigurationError(
             "constellation scenarios have p = eta * P; targets require "
             f"P = {p_t / eta_t:.6g} but support has P = {peak}")
     return _tune_root(
-        spec, p_t, _unpack_shrink_chi(spec), {"eta": eta_t},
-        ([0.4, 0.0], [0.05, 0.5], [1.0, -0.5], [0.0, 1.0]),
+        spec, rho_rs, lambda z: _weights(spec, None, *np.exp(z)),
+        {"eta": eta_t}, ([0.4, 0.0], [0.05, 0.5], [1.0, -0.5], [0.0, 1.0]),
         "constellation tuning failed: activity target may be unreachable "
         "for this support and load")
 
@@ -706,19 +694,21 @@ def tune(spec: ScenarioSpec, target_power, target_eta, sparsity=None):
             "tune assumes the unit path-loss atom (rho_rs = (rho + p)/alpha, "
             f"xi = (1 + chi)/alpha), not {spec.pathloss_atoms}")
 
+    rho_rs = (spec.rho + target_power) / spec.load
     kind = spec.support.kind
     if kind == FULL:
-        if sparsity == "l0" or target_eta == 1.0:
-            pen, chi = _tune_full_l0(spec, target_power, target_eta)
-        else:
-            pen, chi = _tune_full_l1(spec, target_power, target_eta)
+        closed_form = (_tune_full_l0 if sparsity == "l0" or target_eta == 1.0
+                       else _tune_full_l1)
+        pen, chi, _ = _weights(spec, sparsity, *closed_form(
+            spec, rho_rs, target_power, target_eta))
+    elif kind == DISK and target_eta == 1.0:
+        pen, chi = _tune_disk_power(spec, rho_rs, target_power)
     elif kind == DISK:
-        if target_eta == 1.0:
-            pen, chi = _tune_disk_power(spec, target_power)
-        else:
-            pen, chi = _tune_disk(spec, target_power, target_eta, sparsity)
+        pen, chi = _tune_disk(spec, rho_rs, target_power, target_eta,
+                              sparsity)
     else:
-        pen, chi = _tune_constellation(spec, target_power, target_eta)
+        pen, chi = _tune_constellation(spec, rho_rs, target_power,
+                                       target_eta)
 
     tuned_spec = replace(spec, penalty=pen)
     sol = solution_at(tuned_spec, chi, target_power)

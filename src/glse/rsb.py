@@ -113,7 +113,7 @@ _SIGNS = np.array([[1.0], [-1.0]])
 def _erf_ufuncs():
     """scipy.special's (log_ndtr, ndtr), imported on the first call only.
 
-    Deferred: importing rsb (every sweep does) loads no scipy.special.
+    Deferred: test_imports.py imports rsb before its scipy-free sweep check.
     """
     from scipy.special import log_ndtr, ndtr
     return log_ndtr, ndtr

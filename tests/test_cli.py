@@ -247,6 +247,18 @@ def test_configuration_error_exit_code(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("strict, code", [(True, 3), (False, 0)],
+                         ids=["strict", "lenient"])
+def test_solver_failure_exit_code(capsys, strict, code):
+    # lambda2 = -5 leaves every start outside the scalar problem's domain:
+    # the replica-symmetric solve raises ConvergenceError
+    argv = ["replica", "--alpha-inv", "2", "--lambda2", "-5"]
+    assert main(["--strict"] * strict + argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver failure:")
+    assert captured.out == ""
+
+
 def test_broken_solve_refuses_qpsk(capsys):
     rc = main(["replica", "--kind", "mpsk_zero", "--order", "4",
                "--peak-power", "2.5", "--alpha-inv", "2", "--lambda2", "0.3",
@@ -283,19 +295,22 @@ def test_broken_solve_refuses_qpsk(capsys):
      "{n: 16, n_channels: 2}"),
     ("{kind: mpsk_zero, order: 2, peak_power: 2.5, rsb: false}",
      "{n: 40, n_channels: 2}"),
+    ("{kind: full, sparsity: l0}", "{n: 20, n_channels: 1, seed: 0}"),
+    ("{kind: disk, peak_power: 1.5}", "{n: 20, n_channels: 1, seed: 0}"),
 ], ids=["scenario_not_mapping", "mc_not_mapping", "mc_n_not_int",
         "mc_seed_not_int", "mc_n_fractional", "mc_n_channels_fractional",
         "mc_seed_fractional", "mc_n_infinite", "mc_seed_negative",
         "order_fractional", "sparsity_l2", "unknown_key",
         "peak_power_negative", "peak_power_infinite", "peak_power_not_number",
         "peak_power_missing", "order_missing", "order_1", "rsb_not_bool",
-        "mc_n_past_enumeration_guard"])
+        "mc_n_past_enumeration_guard", "full_l0_mc_n_past_l0_guard",
+        "disk_l0_mc_n_past_l0_guard"])
 def test_malformed_sweep_config_exits_2(tmp_path, capsys, scenario, mc):
     # each of these used to end in a traceback (exit 1), for a fractional
     # count or order to be truncated to an int, for an unknown key to be
     # ignored, or for a bad support, sparsity or rsb flag, or a constellation
-    # too large to enumerate, to reach the rows (exit 3 under --strict, or a
-    # row written from the bad value)
+    # or an l0 program too large to enumerate, to reach the rows (exit 3
+    # under --strict, or a row written from the bad value)
     cfg = tmp_path / "sweep.yaml"
     cfg.write_text(
         "spec_version: '1'\n"

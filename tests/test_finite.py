@@ -307,6 +307,24 @@ def test_stationary_reports_nonconvergence_and_rejects_weights():
         glse_stationary(h, s, 1.0, PenaltySpec(lambda0=0.1, lambda1=-0.1))
 
 
+def test_stationary_on_a_zero_channel_is_zero():
+    h, s = np.zeros((2, 3), dtype=complex), np.array([1.0, 1j])
+    out = glse_stationary(h, s, 1.0, _continued_branch_penalty())
+    assert not out.x.any() and out.iterations == 0 and out.converged
+    assert (out.residual, out.start) == (0.0, "zero")
+
+
+def test_stationary_starts_from_zero_when_rzf_is_singular():
+    # lambda2 = 0 and a zero row make HH^H singular: rzf raises DomainError
+    # and the zero start alone is tried; the active entry solves
+    # 2(x - 1) + lambda1 = 0
+    h = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    s = np.array([1.0, 0.5], dtype=complex)
+    out = glse_stationary(h, s, 1.0, PenaltySpec(lambda1=-0.1))
+    assert out.start == "zero" and out.converged and out.residual < 1e-12
+    np.testing.assert_allclose(out.x, [1.05, 0.0], rtol=0, atol=1e-12)
+
+
 _SOLVERS = {
     "convex": lambda h, s, rho: glse_convex(
         h, s, rho, PenaltySpec(lambda2=0.3), SupportSpec.full_complex()),

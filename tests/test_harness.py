@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -243,6 +244,22 @@ def test_run_sweep_records_negative_l0_weights():
     assert rec.lambda0 < 0 and rec.lambda2 < 0
     assert rec.error.startswith("ConfigurationError")
     assert rec.mc_d_mean is None
+
+
+def test_l0_guard_refuses_only_points_below_full_activity():
+    # past MAX_ENUM_L0 an l0 point with eta < 1 is refused at load; at
+    # eta = 1 the tuned penalty is quadratic only (lambda0 = +0.0) and its
+    # trials run the proximal-gradient program
+    mc = {"n": 20, "n_channels": 1, "seed": 0}
+    with pytest.raises(ConfigurationError, match="l0 enumeration guard"):
+        SweepConfig(scenario={"kind": "full"}, mc=mc,
+                    grid=(GridPoint(2.0, 1.0, 0.5), GridPoint(2.0, 0.7, 0.5)))
+    SweepConfig(scenario={"kind": "full", "sparsity": "l1"}, mc=mc,
+                grid=(GridPoint(2.0, 0.7, 0.5),))
+    (rec,) = run_sweep(SweepConfig(scenario={"kind": "full"}, mc=mc,
+                                   grid=(GridPoint(2.0, 1.0, 0.5),)))
+    assert rec.error is None and rec.n_trials == 1
+    assert math.copysign(1.0, rec.lambda0) == 1.0
 
 
 def test_disk_row_takes_its_peak_power_from_papr_db(tmp_path):

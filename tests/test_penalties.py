@@ -87,10 +87,11 @@ def test_decouple_uncovered_combination_rejected():
 
 
 def _scenarios(rng):
-    """Random (penalty, support) draws covering the six scenarios."""
+    """Random (penalty, support) draws covering the six scenarios, and the
+    full-plane l1 one with a negative quadratic weight."""
     lam = rng.uniform(0.0, 2.0)
     p = rng.uniform(0.25, 4.0)
-    scen = rng.integers(0, 6)
+    scen = rng.integers(0, 7)
     if scen == 0:
         return PenaltySpec(lambda2=lam, lambda0=rng.uniform(0, 2)), FULL
     if scen == 1:
@@ -101,6 +102,9 @@ def _scenarios(rng):
         return PenaltySpec(lambda2=lam, lambda1=rng.uniform(0, 2)), SupportSpec.disk(p)
     if scen == 4:
         return PenaltySpec(lambda2=lam), SupportSpec.constant_envelope(p)
+    if scen == 5:
+        # a negative quadratic weight, in the domain for every xi < 5
+        return PenaltySpec(lambda2=-0.2, lambda1=rng.uniform(0, 2)), FULL
     m = int(rng.choice([2, 4, 8]))
     return PenaltySpec(lambda2=lam), SupportSpec.mpsk_zero(m, p)
 
@@ -114,10 +118,13 @@ def _grid_error_bound(s, xi, pen, support, resolution):
         step = 2 * np.pi / resolution
         return 2 * step * 2 * np.sqrt(support.peak_power) * abs(s) + 1e-9
     r_max = 4 * abs(s) + 4 * np.sqrt(xi * (pen.lambda0 + pen.lambda1) + 1.0)
+    if pen.lambda2 < 0:  # the grid widens by 1/(1 + xi*lambda2)
+        r_max /= 1.0 + xi * pen.lambda2
     if support.kind == "disk":
         r_max = min(r_max, np.sqrt(support.peak_power))
     step = max(r_max / (resolution - 1), r_max * 2 * np.pi / resolution)
-    lip = 2 * (r_max + abs(s)) + xi * (2 * pen.lambda2 * r_max + pen.lambda1)
+    lip = (2 * (r_max + abs(s))
+           + xi * (2 * abs(pen.lambda2) * r_max + pen.lambda1))
     return 2 * step * lip + 1e-9
 
 
@@ -133,6 +140,34 @@ def test_oracle_consistency_battery():
         f_grid = scalar_objective(grid, s, xi, pen, sup)
         assert f_closed <= f_grid + 1e-9
         assert f_grid - f_closed <= _grid_error_bound(s, xi, pen, sup, 256)
+
+
+def test_decouple_grid_widens_for_a_negative_quadratic_weight():
+    # 1 + xi*lambda2 = 0.1 puts the minimiser at |v| = 27.75, past the
+    # radius 4|s| + 4 sqrt(1 + xi*lambda1) = 16.8 that a positive weight
+    # needs
+    pen, xi, s = PenaltySpec(lambda2=-0.2, lambda1=0.1), 4.5, 3.0
+    closed = decouple(s, xi, pen, FULL)
+    assert closed == pytest.approx(27.75, rel=1e-12)
+    grid = decouple_grid(s, xi, pen, FULL, resolution=1024)
+    assert abs(grid - closed) < 0.1  # the radial step is 0.16
+
+
+@pytest.mark.parametrize("order", [2.7, 1, 1.0, np.nan, np.inf, "4", None])
+def test_mpsk_order_must_be_an_integer_from_2(order):
+    # a fractional order used to build unequally spaced phases, and
+    # mpsk_zero truncated it
+    with pytest.raises(ConfigurationError, match="order"):
+        SupportSpec(kind="mpsk_zero", peak_power=1.0, order=order)
+    with pytest.raises(ConfigurationError, match="order"):
+        SupportSpec.mpsk_zero(order, 1.0)
+
+
+def test_mpsk_integral_float_order_is_stored_as_int():
+    sup = SupportSpec(kind="mpsk_zero", peak_power=1.0, order=4.0)
+    assert type(sup.order) is int and sup == SupportSpec.mpsk_zero(4, 1.0)
+    assert SupportSpec.mpsk_zero(np.int64(8), 1.0).order == 8
+    assert len(SupportSpec.mpsk_zero(4.0, 1.0).constellation()) == 5
 
 
 def test_mpsk_grid_is_exact_enumeration():

@@ -8,8 +8,8 @@ from scipy.special import ndtri
 from glse.errors import ConfigurationError, ConvergenceError, DomainError
 from glse.penalties import PenaltySpec, SupportSpec, decouple
 from glse.replica import (_PANEL_WIDTH, ScenarioSpec, _active_segments,
-                          _chord_newton, _first_root, _tune_root,
-                          _unpack_shrink_chi, _w, _w_prime, generic_moments,
+                          _chord_newton, _first_root, _tune_root, _w,
+                          _w_prime, _weights, generic_moments,
                           heuristic_rate, lemma2_bound, qfunc,
                           random_tas_asymptote, rate_lower_bound,
                           rs_distortion, scenario_moments, solution_at,
@@ -471,14 +471,52 @@ def test_tune_root_drops_a_start_outside_the_domain():
     # exp(-800) underflows shrink to 0: the first evaluation raises
     # DomainError, and the next start still finds the root
     spec = _spec(PenaltySpec(), SupportSpec.mpsk_zero(2, 2.5), load=0.4)
-    unpack = _unpack_shrink_chi(spec)
-    pen, chi = _tune_root(spec, 1.0, unpack, {"eta": 0.4},
+    rho_rs = (spec.rho + 1.0) / spec.load
+
+    def unpack(z):
+        return _weights(spec, None, *np.exp(z))
+
+    pen, chi = _tune_root(spec, rho_rs, unpack, {"eta": 0.4},
                           ([-800.0, 0.0], [0.4, 0.0]), "no root")
     expected, sol = tune(spec, 1.0, 0.4)
     assert pen == expected and chi == sol.chi
     with pytest.raises(ConfigurationError, match="no root"):
-        _tune_root(spec, 1.0, unpack, {"eta": 0.4}, ([-800.0, 0.0],),
+        _tune_root(spec, rho_rs, unpack, {"eta": 0.4}, ([-800.0, 0.0],),
                    "no root")
+
+
+@pytest.mark.parametrize("load", [0.5, 1.0 / 4.5],
+                         ids=["xi_positive", "xi_negative"])
+@pytest.mark.parametrize("sparsity", ["l0", "l1"])
+def test_tune_full_eta_one_is_quadratic_only(load, sparsity):
+    # eta = 1 has no sparse weight: lambda0 is +0.0, where the l0 closed
+    # form's tau0^2 = -rho_rs log(1) = -0.0 used to give -0.0 for xi > 0
+    pen, sol = tune(_spec(PenaltySpec(), load=load), 0.5, 1.0,
+                    sparsity=sparsity)
+    assert (np.copysign(1.0, pen.lambda0), pen.lambda1) == (1.0, 0.0)
+    assert (sol.xi > 0) == (load == 0.5)
+    assert sol.eta == 1.0 and sol.p == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("sparsity", ["l0", "l1"])
+def test_tune_disk_fallback_start_reaches_the_same_root(monkeypatch,
+                                                        sparsity):
+    # when the full plane's closed form raises, the disk root-find starts
+    # from lambda2 = 0.5, lambda0 or lambda1 = 0.1 at chi = 1 instead
+    spec = _spec(PenaltySpec(), SupportSpec.disk(1.5), load=0.5)
+    expected, sol = tune(spec, 0.5, 0.7, sparsity=sparsity)
+    name = f"_tune_full_{sparsity}"
+
+    def infeasible(*args):
+        raise ConfigurationError("infeasible targets")
+
+    monkeypatch.setattr(sys.modules["glse.replica"], name, infeasible)
+    pen, fallback = tune(spec, 0.5, 0.7, sparsity=sparsity)
+    for got, want in ((pen.lambda2, expected.lambda2),
+                      (pen.lambda0, expected.lambda0),
+                      (pen.lambda1, expected.lambda1),
+                      (fallback.chi, sol.chi)):
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def _two_roots(z):
